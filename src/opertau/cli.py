@@ -140,11 +140,7 @@ def _run(args) -> int:
     if args.command == "root":
         A = parse_operator(args.expression, order=args.order)
         R = nth_root(A, args.n)
-        back = R
-        for _ in range(args.n - 1):
-            from .psido import compose
-
-            back = compose(back, R)
+        back = R**args.n
         _emit(
             args,
             {

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import BadArgument, InvariantViolation, Unsupported
 from .oper import MiuraOper, ScalarOper, miura_transform
-from .psido import PsiDO, commutator, compose, nth_root, residue, split
+from .psido import PsiDO, commutator, compose, nth_root, power, residue, split
 from .series import DualSeries, TruncSeries
 
 
@@ -45,23 +45,18 @@ class LaxRhs:
     delta_q: tuple[TruncSeries, ...]  # dq_1 .. dq_n
 
 
-def lax_flow_operator(S: ScalarOper, r) -> tuple[PsiDO, PsiDO]:
-    """(B_r, [B_r, L]) for B_r the differential part of L^{r/n}."""
-    r = _flow(r).r
-    L = S.to_psido()
-    n = S.n
-    R = nth_root(L, n)
-    acc = R
-    for _ in range(r - 1):
-        acc = compose(acc, R)
-    B, _ = split(acc)
-    return B, commutator(B, L)
+def _root(S: ScalarOper) -> PsiDO:
+    return nth_root(S.to_psido(), S.n)
 
 
-def lax_rhs(S: ScalarOper, r) -> LaxRhs:
-    """Right-hand side of dL/dt_r; purely differential, order <= n-2."""
-    r = _flow(r).r
-    B, rhs = lax_flow_operator(S, r)
+def _flow_operator(S: ScalarOper, R: PsiDO, r: int) -> tuple[PsiDO, PsiDO]:
+    """(B_r, [B_r, L]) from the Schur root R of L."""
+    B, _ = split(power(R, r, 0))
+    return B, commutator(B, S.to_psido())
+
+
+def _read_rhs(S: ScalarOper, r: int, rhs: PsiDO) -> LaxRhs:
+    """Check that [B_r, L] is differential of order <= n-2; read off the dq_i."""
     n = S.n
     if not rhs.is_zero:
         if not rhs.is_differential() or rhs.top > n - 2:
@@ -77,16 +72,29 @@ def lax_rhs(S: ScalarOper, r) -> LaxRhs:
     return LaxRhs(n, r, rhs, tuple(delta))
 
 
+def lax_flow_operator(S: ScalarOper, r) -> tuple[PsiDO, PsiDO]:
+    """(B_r, [B_r, L]) for B_r the differential part of L^{r/n}."""
+    return _flow_operator(S, _root(S), _flow(r).r)
+
+
+def lax_rhs(S: ScalarOper, r) -> LaxRhs:
+    """Right-hand side of dL/dt_r; purely differential, order <= n-2."""
+    r = _flow(r).r
+    _, rhs = _flow_operator(S, _root(S), r)
+    return _read_rhs(S, r, rhs)
+
+
 def conserved_density(S: ScalarOper, s: int) -> TruncSeries:
     """res L^{s/n}, the s-th conserved density."""
     if s < 1:
         raise BadArgument("density index must be positive")
-    L = S.to_psido()
-    R = nth_root(L, S.n)
-    acc = R
-    for _ in range(s - 1):
-        acc = compose(acc, R)
-    return residue(acc)
+    R = _root(S)
+    P = power(R, s, -1)
+    if -1 not in P.terms:
+        # an exact-zero residue takes its t-window from every order of the
+        # power, including the orders below -1 that the windowed power skips
+        P = power(R, s)
+    return residue(P)
 
 
 def _dual_scalar_oper(S: ScalarOper, delta: tuple[TruncSeries, ...]) -> PsiDO:
@@ -105,12 +113,8 @@ def _dual_scalar_oper(S: ScalarOper, delta: tuple[TruncSeries, ...]) -> PsiDO:
 
 def _dual_b(S: ScalarOper, delta, k: int) -> PsiDO:
     """Dual-number B_k = (L^{k/n})_+ along the direction dq = delta."""
-    Ld = _dual_scalar_oper(S, delta)
-    R = nth_root(Ld, S.n)
-    acc = R
-    for _ in range(k - 1):
-        acc = compose(acc, R)
-    B, _ = split(acc)
+    R = nth_root(_dual_scalar_oper(S, delta), S.n)
+    B, _ = split(power(R, k, 0))
     return B
 
 
@@ -122,27 +126,20 @@ def _eps_part(A: PsiDO) -> PsiDO:
     return PsiDO(terms, A.depth)
 
 
-def _re_part(A: PsiDO) -> PsiDO:
-    terms = {}
-    for i, c in A.terms.items():
-        terms[i] = c.re if isinstance(c, DualSeries) else c
-    return PsiDO(terms, A.depth)
-
-
 def zs_residual(S: ScalarOper, r, s) -> PsiDO:
     """d_{t_r} B_s - d_{t_s} B_r - [B_r, B_s]; zero when the flows commute.
 
     The directional derivatives re-run the root extraction with eps^2 = 0
     coefficients along dL = [B_k, L]; no second implementation of the root
-    is involved.
+    is involved.  B_r and B_s share one real root.
     """
     r, s = _flow(r).r, _flow(s).r
-    rhs_r = lax_rhs(S, r)
-    rhs_s = lax_rhs(S, s)
+    R = _root(S)
+    Br, rhs_r = _flow_operator(S, R, r)
+    Bs, rhs_s = _flow_operator(S, R, s)
+    rhs_r, rhs_s = _read_rhs(S, r, rhs_r), _read_rhs(S, s, rhs_s)
     dBs = _eps_part(_dual_b(S, rhs_r.delta_q, s))
     dBr = _eps_part(_dual_b(S, rhs_s.delta_q, r))
-    Br, _ = lax_flow_operator(S, r)
-    Bs, _ = lax_flow_operator(S, s)
     return dBs - dBr - commutator(Br, Bs)
 
 

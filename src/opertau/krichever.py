@@ -29,7 +29,15 @@ from .oper import (
     gauge_reduce_with_matrix,
     miura_transform,
 )
-from .psido import PsiDO, commutator, compose, invert_monic0, nth_root, tail_depth
+from .psido import (
+    PsiDO,
+    _compose_coeff,
+    commutator,
+    compose,
+    invert_monic0,
+    nth_root,
+    tail_depth,
+)
 from .series import TruncSeries
 
 Window = tuple[int, int]
@@ -46,11 +54,15 @@ def dressing(S, depth: int | None = None) -> PsiDO:
     """K = k_0 (1 + k_1 d^-1 + ...) with K d^n K^-1 = L, constants all 0.
 
     Accepts a ScalarOper or any monic PsiDO with top coefficient 1.  Solves
-    K d = R K order by order for R the Schur root of L; each coefficient is
-    a first-order recursion in the series coefficients, with every
-    integration constant chosen to make k_j(0) = 0 (and k_0(0) = 1).  The
-    zeroth-order unit k_0 is forced by k_0' = -r_0 k_0; it collapses to 1
-    exactly when the subprincipal coefficient q_1 vanishes.
+    K d = R K order by order for R the Schur root of L.  Step j reads one
+    coefficient, [(R - d - r_0) K_partial]_(-j) for K_partial = k_0 + ... +
+    k_(j-1) d^(1-j), from the one-order kernel ``compose`` sums with
+    (derivatives of each k_i computed once), and solves the first-order recursion
+    k_j' + r_0 k_j = -[...]_(-j) in the series coefficients with k_j(0) = 0.
+    An order below the ambient tail depth reads as absent, as it would in
+    the composed operator.  The zeroth-order unit k_0 is forced by
+    k_0' = -r_0 k_0 with k_0(0) = 1; it collapses to 1 exactly when the
+    subprincipal coefficient q_1 vanishes.
     """
     L = S.to_psido() if isinstance(S, ScalarOper) else S
     if L.top is None or not L.terms[L.top].is_one:
@@ -58,23 +70,25 @@ def dressing(S, depth: int | None = None) -> PsiDO:
     n = L.top
     target = tail_depth() if depth is None else depth
     R = nth_root(L, n, depth=target) if n > 1 else L
+    if R.depth is not None:
+        target = max(target, R.depth)  # k_j reads r_i for i >= -j only
     one = L.terms[n]
     order = one.order
     r0 = R.terms.get(0)
-    minus = PsiDO(
-        {i: c for i, c in R.terms.items() if i <= 0 and i != 0}, R.depth
-    )
-    ks: dict[int, TruncSeries] = {0: _solve_linear_ode(r0, None, order, head=1)}
+    minus = {i: c for i, c in R.terms.items() if i < 0}
+    # the nonzero k_j found so far, keyed by d-order -j
+    K = {0: _solve_linear_ode(r0, None, order, head=1)}
+    derivs: dict[int, list] = {}
+    floor = tail_depth()
     for j in range(1, -target + 1):
-        # k_j' + r_0 k_j = -[(R - d - r_0) K_partial]_{-j}, constant term 0
-        K_partial = PsiDO({-m: c for m, c in ks.items()})
-        rhs_op = compose(minus, K_partial)
-        rhs = rhs_op.terms.get(-j)
         width = order - j
         if width <= 0:
             break
-        ks[j] = _solve_linear_ode(r0, rhs, width, head=0)
-    return PsiDO({-j: c for j, c in ks.items()}, target)
+        rhs = _compose_coeff(minus, K, -j, derivs) if -j >= floor else None
+        k = _solve_linear_ode(r0, rhs, width, head=0)
+        if not k.is_zero:
+            K[-j] = k
+    return PsiDO(K, target)
 
 
 def _solve_linear_ode(

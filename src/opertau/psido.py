@@ -119,9 +119,6 @@ class PsiDO:
             return c
         return None  # exact zero within the trusted window
 
-    def order_window(self) -> tuple[int | None, int | None]:
-        return (self.depth, self.top)
-
     def is_differential(self) -> bool:
         return all(i >= 0 for i in self.terms)
 
@@ -181,14 +178,7 @@ class PsiDO:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "PsiDO":
-        if e < 0:
-            raise BadArgument("negative operator powers are not defined here")
-        acc = None
-        for _ in range(e):
-            acc = self if acc is None else compose(acc, self)
-        if acc is None:
-            raise BadArgument("use an explicit identity for power 0")
-        return acc
+        return power(self, e)
 
     def truncate_depth(self, depth: int) -> "PsiDO":
         return PsiDO({i: c for i, c in self.terms.items() if i >= depth},
@@ -211,36 +201,32 @@ def _agrees_zero(c) -> bool:
 def compose(A: PsiDO, B: PsiDO) -> PsiDO:
     """Operator product via d^i a = sum_k C(i,k) a^(k) d^(i-k)."""
     if A.is_zero or B.is_zero:
-        return PsiDO({}, _depth_max(A.depth, B.depth))
+        if (A.is_zero and A.depth is None) or (B.is_zero and B.depth is None):
+            return PsiDO({}, _depth_max(A.depth, B.depth))  # exactly zero
+        # an empty operand's unknown tail still reaches its partner's top
+        if A.is_zero and B.is_zero:
+            return PsiDO({}, A.depth + B.depth - 1)
+        if B.is_zero:
+            return PsiDO({}, B.depth + A.top)
+        return PsiDO({}, A.depth + B.top)
     floor = tail_depth()
-    cut: int | None = None
+    derivs: dict[int, list] = {}
     out: dict[int, TruncSeries | DualSeries] = {}
-    for j, b in B.terms.items():
-        derivs = [b]
-        for i, a in A.terms.items():
-            k = 0
-            cur = derivs[0]
-            while True:
-                if i >= 0 and k > i:
-                    break  # binomial vanishes: expansion terminates
-                ord_ = i + j - k
-                if ord_ < floor:
-                    if not cur.is_zero:
-                        cut = floor if cut is None else max(cut, floor)
-                    break
-                if cur.is_zero:
-                    break  # derivative chain died: exact termination
-                coef = _binom(i, k)
-                if coef != 0:
-                    term = a * cur if coef == 1 else (a * cur) * Fraction(coef)
-                    if ord_ in out:
-                        out[ord_] = out[ord_] + term
-                    else:
-                        out[ord_] = term
-                k += 1
-                if k >= len(derivs):
-                    derivs.append(derivs[-1].derivative())
-                cur = derivs[k]
+    # with A differential every term d^i b_j^(k) d^(j-k), k <= i, is >= min(B)
+    lowest = floor if min(A.terms) < 0 else max(floor, min(B.terms))
+    for o in range(A.top + B.top, lowest - 1, -1):
+        c = _compose_coeff(A.terms, B.terms, o, derivs)
+        if c is not None:
+            out[o] = c
+    cut: int | None = None
+    for j in B.terms:
+        for i in A.terms:
+            k = max(0, i + j - floor + 1)  # first term below the floor
+            if (i < 0 or k <= i) and _derivative(B.terms, j, k, derivs) is not None:
+                cut = floor  # a nonzero term was dropped
+                break
+        if cut is not None:
+            break
     depth = cut
     if A.depth is not None:
         depth = _depth_max(depth, A.depth + max(B.terms))
@@ -249,6 +235,69 @@ def compose(A: PsiDO, B: PsiDO) -> PsiDO:
     if depth is not None and A.top + B.top < depth:
         raise TailOverflow("no trusted orders remain in the composition")
     return PsiDO(out, depth)
+
+
+def _derivative(B: dict, j: int, k: int, derivs: dict[int, list]):
+    """k-th derivative of the coefficient B[j], or None once the chain dies.
+
+    ``derivs`` memoizes the chain of each B[j]; reuse it only while those
+    coefficients stay fixed.
+    """
+    chain = derivs.get(j)
+    if chain is None:
+        chain = derivs[j] = [B[j]]
+    while len(chain) <= k and not chain[-1].is_zero:
+        chain.append(chain[-1].derivative())
+    if k >= len(chain) or chain[k].is_zero:
+        return None  # derivative chain died: exact termination
+    return chain[k]
+
+
+def _compose_coeff(A: dict, B: dict, o: int, derivs: dict[int, list]):
+    """Coefficient of d^o in A∘B for coefficient dicts A and B; None if zero.
+
+    The one place the binomial rule is summed (``compose`` calls it for each
+    order): zero factors are skipped and a zero sum is absent.  ``derivs``
+    memoizes derivative chains as in ``_derivative``.
+    """
+    total = None
+    for j in B:
+        for i, a in A.items():
+            k = i + j - o
+            if k < 0 or (i >= 0 and k > i):
+                continue
+            bk = _derivative(B, j, k, derivs)
+            if bk is None:
+                continue
+            coef = _binom(i, k)
+            term = a * bk if coef == 1 else (a * bk) * Fraction(coef)
+            total = term if total is None else total + term
+    if total is None or total.is_zero:
+        return None
+    return total
+
+
+def power(A: PsiDO, e: int, lo: int | None = None) -> PsiDO:
+    """A^e for e >= 1 as the product ((A A) A)...; with ``lo``, orders >= lo.
+
+    The k-th partial product reaches orders >= lo of A^e only through its
+    own orders >= lo - (e-k) top(A), so it is composed with the tail floor
+    raised to that order (never below the ambient tail depth).  Orders >= lo
+    of the result equal those of the full power; its depth records the floor.
+    """
+    if e < 0:
+        raise BadArgument("negative operator powers are not defined here")
+    if e == 0:
+        raise BadArgument("use an explicit identity for power 0")
+    ambient = tail_depth()
+    acc = A
+    for k in range(2, e + 1):
+        floor = ambient
+        if lo is not None and A.terms:
+            floor = max(ambient, lo - (e - k) * A.top)
+        with configure_tail_depth(floor):
+            acc = compose(acc, A)
+    return acc
 
 
 def commutator(A: PsiDO, B: PsiDO) -> PsiDO:
@@ -290,11 +339,21 @@ def _real_series(A: PsiDO):
 
 
 def nth_root(L: PsiDO, n: int, depth: int | None = None) -> PsiDO:
-    """The monic n-th root of a monic order-n operator.
+    """The monic n-th root R = d + r_0 + r_-1 d^-1 + ... of a monic order-n L.
 
-    Uniqueness: matching the coefficient of d^(n-1+m) in R^n = L determines
-    the order-m coefficient of R one order at a time; no integration
-    constants arise.
+    Matching the coefficient of d^(n-1+m) in R^n = L determines r_m one order
+    at a time, from m = 0 down to the depth; no integration constants arise.
+    Besides the term n r_m, that coefficient involves only r_(m+1), r_(m+2),
+    ..., so the root is computed as a relaxed (online) recursion.  Step m
+    computes, for each power R^k = R^(k-1) R with k = 2..n, only its
+    coefficient at d^(m+k-1): first a provisional value without r_m, whose
+    k = n instance gives n r_m = [L]_(n-1+m) - [R^n]_(n-1+m); then, once r_m
+    is known, the final value that step m-1 builds on.  Each coefficient comes
+    from the one-order kernel that ``compose`` itself sums with, so R has the
+    Fractions and t-windows of a root read off L - R^n in full at every step.
+
+    R is trusted down to ``depth`` (default: the ambient tail depth), or down
+    to L.depth - n + 1 when L itself is known less deeply.
     """
     if n <= 0:
         raise BadArgument("root index must be a positive integer")
@@ -308,20 +367,35 @@ def nth_root(L: PsiDO, n: int, depth: int | None = None) -> PsiDO:
     if n == 1:
         return L
     target = tail_depth() if depth is None else depth
-    one = top  # reuse the (possibly dual) exact-1 coefficient
-    R = PsiDO({1: one})
-    with configure_tail_depth(target):
-        m = 0
-        while m >= target:
-            E = L - R**n
-            want = n - 1 + m
-            if E.depth is not None and want < E.depth:
-                break
-            c = E.terms.get(want)
-            if c is not None and not c.is_zero:
-                R = R + PsiDO({m: c * Fraction(1, n)})
-            m -= 1
-    return PsiDO(R.terms, target)
+    if L.depth is not None:
+        target = max(target, L.depth - n + 1)
+    R = {1: top}  # reuse the (possibly dual) exact-1 coefficient
+    derivs: dict[int, list] = {}  # derivative chains of the r_j, by j
+    # powers[k]: the coefficients of R^k computed so far (powers[1] is R)
+    powers = [None, R] + [{} for _ in range(2, n)]
+
+    def fill(m: int) -> None:
+        """The d^(m+k-1) coefficient of R^k, k = 2..n-1, from R as it stands."""
+        for k in range(2, n):
+            c = _compose_coeff(powers[k - 1], R, m + k - 1, derivs)
+            if c is None:
+                powers[k].pop(m + k - 1, None)
+            else:
+                powers[k][m + k - 1] = c
+
+    fill(1)
+    for m in range(0, target - 1, -1):
+        fill(m)  # provisional: r_m is not in R yet
+        want = n - 1 + m
+        got = _compose_coeff(powers[n - 1], R, want, derivs)
+        have = L.terms.get(want)
+        if got is not None:
+            have = -got if have is None else have + (-got)
+        if have is None or have.is_zero:
+            continue  # r_m = 0, so the provisional coefficients are final
+        R[m] = have * Fraction(1, n)
+        fill(m)
+    return PsiDO(R, target)
 
 
 def invert_monic0(A: PsiDO) -> PsiDO:

@@ -5,6 +5,7 @@ import pytest
 from opertau.errors import BadArgument, NotCommuting
 from opertau.grass import GrassPoint, standard_point, tau_schur
 from opertau.krichever import (
+    _solve_linear_ode,
     AffineFlagPoint,
     SpectralRelation,
     bc_relation,
@@ -18,7 +19,7 @@ from opertau.krichever import (
     wave_columns,
 )
 from opertau.oper import MiuraOper, ScalarOper
-from opertau.psido import PsiDO, commutator, configure_tail_depth
+from opertau.psido import PsiDO, commutator, compose, configure_tail_depth, nth_root
 from opertau.series import TruncSeries, tpoly
 
 from .conftest import random_poly
@@ -52,11 +53,46 @@ class TestDressing:
         K = dressing(S)
         assert dressing_conjugate(K, 2).agrees(S.to_psido())
 
+    def test_depth_limited_by_input_depth(self):
+        # k_j reads r_i for i >= -j, and r_i is known only down to the
+        # root's depth: a completion of L below its depth must agree
+        one = TruncSeries.one(12)
+        L = PsiDO({2: one, 0: tpoly({1: 1}), -3: one}, depth=-3)
+        K = dressing(L, depth=-8)
+        assert K.depth == -4
+        completed = PsiDO({**L.terms, -4: tpoly({0: 5})})
+        assert dressing(completed, depth=-8).agrees(K)
+
     def test_depth_rerun_agreement(self):
         S = oper(2, [None, {0: 1, 2: -3}])
         K6 = dressing(S, depth=-6)
         K8 = dressing(S, depth=-8)
         assert K6.agrees(K8)
+
+
+def reference_dressing(L: PsiDO, n: int, depth: int) -> PsiDO:
+    """Dressing that recomposes (R - d - r_0) K_partial for every order."""
+    R = nth_root(L, n, depth=depth)
+    order = L.terms[n].order
+    r0 = R.terms.get(0)
+    minus = PsiDO({i: c for i, c in R.terms.items() if i < 0}, R.depth)
+    ks = {0: _solve_linear_ode(r0, None, order, head=1)}
+    for j in range(1, -depth + 1):
+        rhs = compose(minus, PsiDO({-m: c for m, c in ks.items()})).terms.get(-j)
+        if order - j <= 0:
+            break
+        ks[j] = _solve_linear_ode(r0, rhs, order - j, head=0)
+    return PsiDO({-j: c for j, c in ks.items()}, depth)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_coefficient_dressing_equals_reference(rng, n):
+    S = ScalarOper(n, tuple(random_poly(rng, 2, order=10) for _ in range(n)))
+    # depth -9 under an ambient tail depth of -6 also checks that orders the
+    # composed operator would drop below the tail depth read as absent
+    with configure_tail_depth(-6):
+        for depth in (-5, -9):
+            assert dressing(S, depth=depth) == reference_dressing(S.to_psido(), n, depth)
 
 
 class TestKricheverPoint:

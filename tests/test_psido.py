@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opertau.errors import NotMonic, TailOverflow
+from opertau.kdv import conserved_density
+from opertau.oper import ScalarOper
 from opertau.psido import (
     PsiDO,
     commutator,
@@ -10,10 +14,12 @@ from opertau.psido import (
     configure_tail_depth,
     invert_monic0,
     nth_root,
+    power,
     residue,
     split,
+    tail_depth,
 )
-from opertau.series import TruncSeries, tpoly
+from opertau.series import DualSeries, TruncSeries, tpoly
 
 from .conftest import random_poly
 
@@ -73,6 +79,27 @@ class TestCompose:
         # unknown tail of A (orders <= -2) times B (top 0) pollutes orders <= -2
         assert got.depth == -1
         assert set(got.terms) == {-1}
+
+    def test_empty_operand_with_tail_reaches_partner_top(self):
+        # the unknown d^-1 term of the empty right factor lands at d^1
+        B = PsiDO({}, depth=0)
+        assert compose(D(2), B).depth == 2
+        assert compose(B, D(3)).depth == 3
+        assert compose(PsiDO({}, depth=2), PsiDO({}, depth=3)).depth == 4
+
+    def test_exact_zero_operand_keeps_depth(self):
+        A = PsiDO({2: TruncSeries.one(12)}, depth=-4)
+        assert compose(A, PsiDO.zero()).depth == -4
+        assert compose(PsiDO.zero(), PsiDO({}, depth=0)).depth == 0
+
+    def test_floor_depth_only_when_a_nonzero_term_is_dropped(self):
+        with configure_tail_depth(-3):
+            # d^-1 t d^-2 = t d^-3 - d^-4: the d^-4 term falls below the floor
+            got = compose(D(-1), PsiDO({-2: tpoly({1: 1})}))
+            assert got.depth == -3
+            assert set(got.terms) == {-3}
+            # d^-1 1 d^-2 = d^-3 exactly: the derivative chain dies first
+            assert compose(D(-1), PsiDO({-2: TruncSeries.one(12)})).depth is None
 
     def test_tail_overflow(self):
         A = PsiDO({-6: TruncSeries.one(12)}, depth=-6)
@@ -155,6 +182,16 @@ class TestRoot:
                 R = nth_root(L, n)
                 assert (R**n).agrees(L)
 
+    def test_depth_limited_by_input_depth(self):
+        # r_m reads L down to d^(n-1+m): a completion of L below its depth
+        # must not change any coefficient the root claims
+        u = tpoly({1: 1})
+        L = PsiDO({2: TruncSeries.one(12), 0: u, -3: TruncSeries.one(12)}, depth=-3)
+        R = nth_root(L, 2, depth=-8)
+        assert R.depth == -4
+        completed = PsiDO({**L.terms, -4: tpoly({0: 5})})
+        assert nth_root(completed, 2, depth=-8).agrees(R)
+
     def test_not_monic(self):
         with pytest.raises(NotMonic):
             nth_root(PsiDO({2: tpoly({0: 2})}), 2)
@@ -198,3 +235,130 @@ class TestInverse:
             K = PsiDO({0: TruncSeries.one(12), -1: tpoly({0: 1})})
             Ki = invert_monic0(K)
             assert min(Ki.terms) >= -5
+
+
+# -- the relaxed root against the full recomputation ---------------------------
+
+
+def reference_root(L: PsiDO, n: int, depth: int | None = None) -> PsiDO:
+    """Schur root read off L - R^n, recomputed in full at every step."""
+    target = tail_depth() if depth is None else depth
+    R = PsiDO({1: L.terms[n]})
+    with configure_tail_depth(target):
+        for m in range(0, target - 1, -1):
+            E = L - reference_power(R, n)
+            c = E.terms.get(n - 1 + m)
+            if c is not None and not c.is_zero:
+                R = R + PsiDO({m: c * Fraction(1, n)})
+    return PsiDO(R.terms, target)
+
+
+def reference_power(R: PsiDO, e: int) -> PsiDO:
+    """((R R) R)... on every order down to the ambient tail depth."""
+    P = R
+    for _ in range(e - 1):
+        P = compose(P, R)
+    return P
+
+
+def series_st(max_degree=3):
+    """Small polynomial series with their own t-windows (some exactly zero)."""
+    return st.builds(
+        lambda cs, order: TruncSeries.from_dict(
+            {k: c for k, c in enumerate(cs) if c}, order
+        ),
+        st.lists(st.integers(-4, 4), min_size=0, max_size=max_degree + 1),
+        st.integers(4, 9),
+    )
+
+
+@st.composite
+def monic_st(draw, dual: bool):
+    n = draw(st.sampled_from([2, 3]))
+    top = TruncSeries.one(draw(st.integers(6, 10)))
+    # with L - d^n purely infinitesimal, eps^2 = 0 makes whole power
+    # coefficients sum to zero from nonzero-windowed terms
+    eps_only = dual and draw(st.booleans())
+    terms = {n: DualSeries(top) if dual else top}
+    for i in range(n):
+        c = draw(series_st())
+        if dual:
+            re = TruncSeries.zero(c.order) if eps_only else c
+            c = DualSeries(re, draw(series_st()))
+        terms[i] = c
+    return n, PsiDO(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(monic_st(dual=False), st.integers(-8, -1))
+def test_relaxed_root_equals_reference(case, depth):
+    n, L = case
+    # PsiDO equality compares depths, and per coefficient Fractions and windows
+    got = nth_root(L, n, depth=depth)
+    assert got == reference_root(L, n, depth)
+    assert got.depth == depth
+
+
+@settings(max_examples=30, deadline=None)
+@given(monic_st(dual=True), st.integers(-5, -1))
+def test_relaxed_root_equals_reference_dual(case, depth):
+    n, L = case
+    assert nth_root(L, n, depth=depth) == reference_root(L, n, depth)
+
+
+def test_relaxed_root_zero_sums_read_as_absent():
+    # eps^2 = 0 turns power coefficients of an infinitesimal L - d^3 into
+    # zero sums of terms with short t-windows
+    def eps(d, order):
+        return DualSeries(TruncSeries.zero(order), tpoly(d, 7))
+
+    L = PsiDO({3: DualSeries(TruncSeries.one(7)), 2: eps({0: -3, 1: 2}, 4),
+               0: eps({1: -2}, 8)})
+    assert nth_root(L, 3, depth=-5) == reference_root(L, 3, -5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(monic_st(dual=False), st.integers(-6, -2))
+def test_relaxed_root_under_ambient_tail_depth(case, ambient):
+    n, L = case
+    with configure_tail_depth(ambient):
+        assert nth_root(L, n) == reference_root(L, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(monic_st(dual=False), st.integers(2, 5), st.integers(-3, 1))
+def test_windowed_power_equals_full_power(case, e, lo):
+    n, L = case
+    R = nth_root(L, n, depth=-5)
+    with configure_tail_depth(-5):
+        full = reference_power(R, e)
+        win = power(R, e, lo)
+    assert {i: c for i, c in win.terms.items() if i >= lo} == {
+        i: c for i, c in full.terms.items() if i >= lo
+    }
+    assert win.depth <= max(lo, full.depth)
+
+
+def _kdv_zero_density(s):
+    u = tpoly({0: 2, 1: -1, 2: 3}, 10)
+    return ScalarOper(2, (TruncSeries.zero(10), -u)), s
+
+
+def _bsq_zero_density():
+    # L = d^3 - u d - u'/2: res L^(2/3) vanishes, and only the orders below
+    # -1 of L^(2/3) carry the shortest t-window (u' is known one order less)
+    u = tpoly({0: 2, 1: -1, 2: 3}, 12)
+    return ScalarOper(3, (TruncSeries.zero(12), -u, -u.derivative() * Fraction(1, 2))), 2
+
+
+@pytest.mark.parametrize(
+    "case", [_kdv_zero_density(2), _kdv_zero_density(4), _kdv_zero_density(6),
+             _bsq_zero_density()],
+    ids=["n2-s2", "n2-s4", "n2-s6", "n3-s2"],
+)
+def test_zero_density_keeps_window(case):
+    S, s = case
+    got = conserved_density(S, s)
+    want = residue(reference_power(reference_root(S.to_psido(), S.n), s))
+    assert got.is_zero
+    assert got == want
