@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .errors import InvariantViolation, OpertauError, ParseError
@@ -119,11 +118,17 @@ def _emit(args, report: dict) -> None:
 
 def _load(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON in {path}: {e.msg}", e.lineno, e.colno) from e
 
 
 def _window(args) -> tuple[int, int]:
-    lo, hi = (int(x) for x in args.window.split(","))
+    try:
+        lo, hi = (int(x) for x in args.window.split(","))
+    except ValueError as e:
+        raise ParseError(f"--window must be lo,hi, got {args.window!r}") from e
     return lo, hi
 
 
@@ -198,10 +203,7 @@ def _run(args) -> int:
         )
         return 0
     if args.command == "toda-tau":
-        pairs = [
-            (Fraction(a), Fraction(p), Fraction(q))
-            for (a, p, q) in _load(args.pairs)
-        ]
+        pairs = jsonio.pairs_from_json(_load(args.pairs))
         tau = toda_tau(pairs, args.degree, cutoff=args.cutoff)
         _emit(args, {"tau": jsonio.times_to_json(tau), "cutoff": args.cutoff})
         return 0

@@ -62,10 +62,12 @@ class Unsupported(OpertauError):
 
 
 class ParseError(OpertauError):
-    """Syntax error in an operator expression; carries line and column."""
+    """Malformed input: a syntax error in an operator expression or a JSON
+    file, or a JSON document of the wrong shape.  Carries line and column
+    when the input text locates the error."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, col {col})")
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line}, col {col})")
         self.line = line
         self.col = col
 

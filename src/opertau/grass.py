@@ -273,36 +273,43 @@ def _cofactor_det(m: list[list[TimesSeries]], degree: int) -> TimesSeries:
 KP_HIROTA_WEIGHT = 4  # weighted degree consumed by D1^4 + 3 D2^2 - 4 D1 D3
 
 
-def _hirota_monomial(f: TimesSeries, g: TimesSeries, powers: dict[int, int]) -> TimesSeries:
-    """Hirota monomial prod D_k^{a_k} applied to f.g."""
-    terms = [(f, g, Fraction(1))]
-    for k, a in powers.items():
-        for _ in range(a):
-            new = []
-            for (u, v, c) in terms:
-                new.append((u.derivative(k), v, c))
-                new.append((u, v.derivative(k), -c))
-            terms = new
-    acc = None
-    for (u, v, c) in terms:
-        t = u * v * c
-        acc = t if acc is None else acc + t
-    return acc
-
-
 def hirota_residual(tau: TimesSeries, degree: int) -> TimesSeries:
-    """(D1^4 + 3 D2^2 - 4 D1 D3) tau.tau through the given weighted degree."""
+    """(D1^4 + 3 D2^2 - 4 D1 D3) tau.tau through the given weighted degree.
+
+    By the bilinear Leibniz rule D^m f.f = sum_j (-1)^j C(m, j) f^(m-j) f^(j),
+    the symmetric terms fold in pairs, and with f_1 = df/dt_1, f_11 = d^2 f/dt_1^2
+    and so on:
+
+        D1^4 f.f   = 2 (f_1111 f - 4 f_111 f_1 + 3 f_11^2)
+        D2^2 f.f   = 2 (f_22 f - f_2^2)
+        D1 D3 f.f  = 2 (f_13 f - f_1 f_3)
+
+    seven products in all.  A coefficient of weight <= degree of a product
+    reads only factor coefficients of weight <= degree, so every factor is
+    cut to ``degree`` before it is multiplied (each derivative of a tau
+    known through degree + 4 is known that far).
+    """
     if tau.bound is not None and tau.bound < degree + KP_HIROTA_WEIGHT:
         raise BadArgument(
             f"tau must be known through weighted degree {degree + KP_HIROTA_WEIGHT}"
         )
-    t = tau if tau.bound is not None else tau.truncate(degree + KP_HIROTA_WEIGHT)
+    tau = tau.truncate(degree + KP_HIROTA_WEIGHT)
+    chain = [tau]
+    for _ in range(4):
+        chain.append(chain[-1].derivative(1))
+    f, f1, f11, f111, f1111 = (s.truncate(degree) for s in chain)
+    f2 = tau.derivative(2)
+    f3 = tau.derivative(3)
+    f22 = f2.derivative(2).truncate(degree)
+    f13 = f3.derivative(1).truncate(degree)
+    f2 = f2.truncate(degree)
+    f3 = f3.truncate(degree)
     r = (
-        _hirota_monomial(t, t, {1: 4})
-        + _hirota_monomial(t, t, {2: 2}) * 3
-        + _hirota_monomial(t, t, {1: 1, 3: 1}) * (-4)
+        (f1111 * f - f111 * f1 * 4 + f11 * f11 * 3)
+        + (f22 * f - f2 * f2) * 3
+        - (f13 * f - f1 * f3) * 4
     )
-    return r.truncate(degree)
+    return r * 2
 
 
 def random_perturbed_frame(rng, window: Window, ncols_perturbed: int = 2) -> GrassPoint:

@@ -6,12 +6,19 @@ ScalarOper:  {"n": n, "q": [series, ...]}
 MiuraOper:   {"n": n, "chi": [series, ...]}
 PsiDO:       {"depth": d, "terms": {"2": series, "-1": series}}
 Frame:       {"window": [lo, hi], "columns": [{"0": [...], "-1": [...]}]}
+Toda pairs:  [["a", "p", "q"], ...]
+
+Every decoder raises :class:`ParseError` on a document of the wrong shape
+or with values its type rejects (a zero denominator, a term above the
+stated bound), so bad input never escapes as a bare Python exception.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
+from .errors import ParseError
 from .grass import GrassPoint
 from .oper import MiuraOper, ScalarOper
 from .psido import PsiDO
@@ -19,10 +26,28 @@ from .series import TruncSeries
 from .times import TimesSeries
 
 
+# what indexing, unpacking and the constructors raise on a malformed document
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _decoder(fn):
+    what = fn.__name__.removesuffix("_from_json")
+
+    @functools.wraps(fn)
+    def decode(d):
+        try:
+            return fn(d)
+        except _MALFORMED as e:
+            raise ParseError(f"malformed {what} JSON: {type(e).__name__}: {e}") from e
+
+    return decode
+
+
 def fraction_to_json(c: Fraction) -> list[str]:
     return [str(c.numerator), str(c.denominator)]
 
 
+@_decoder
 def fraction_from_json(v) -> Fraction:
     num, den = v
     return Fraction(int(num), int(den))
@@ -36,6 +61,7 @@ def series_to_json(s: TruncSeries) -> dict:
     }
 
 
+@_decoder
 def series_from_json(d: dict) -> TruncSeries:
     return TruncSeries(
         int(d["pole"]),
@@ -53,6 +79,7 @@ def times_to_json(s: TimesSeries) -> dict:
     return {"bound": s.bound, "terms": terms}
 
 
+@_decoder
 def times_from_json(d: dict) -> TimesSeries:
     terms = {}
     for item in d["terms"]:
@@ -78,6 +105,7 @@ def scalar_oper_to_json(S: ScalarOper) -> dict:
     return {"n": S.n, "q": [series_to_json(s) for s in S.q]}
 
 
+@_decoder
 def scalar_oper_from_json(d: dict) -> ScalarOper:
     return ScalarOper(int(d["n"]), tuple(series_from_json(s) for s in d["q"]))
 
@@ -86,6 +114,7 @@ def miura_to_json(M: MiuraOper) -> dict:
     return {"n": M.n, "chi": [series_to_json(s) for s in M.chi]}
 
 
+@_decoder
 def miura_from_json(d: dict) -> MiuraOper:
     return MiuraOper(int(d["n"]), tuple(series_from_json(s) for s in d["chi"]))
 
@@ -97,6 +126,7 @@ def psido_to_json(A: PsiDO) -> dict:
     }
 
 
+@_decoder
 def psido_from_json(d: dict) -> PsiDO:
     depth = d.get("depth")
     return PsiDO(
@@ -115,6 +145,7 @@ def frame_to_json(W: GrassPoint) -> dict:
     }
 
 
+@_decoder
 def frame_from_json(d: dict) -> GrassPoint:
     lo, hi = d["window"]
     cols = [
@@ -122,3 +153,8 @@ def frame_from_json(d: dict) -> GrassPoint:
         for col in d["columns"]
     ]
     return GrassPoint((int(lo), int(hi)), cols)
+
+
+@_decoder
+def pairs_from_json(d: list) -> list[tuple[Fraction, Fraction, Fraction]]:
+    return [(Fraction(a), Fraction(p), Fraction(q)) for (a, p, q) in d]

@@ -83,9 +83,6 @@ class MatrixConnection:
         if len(self.A) != self.n or any(len(r) != self.n for r in self.A):
             raise ValueError("matrix must be n x n")
 
-    def entry(self, i: int, j: int) -> TruncSeries:
-        return self.A[i][j]
-
 
 def miura_transform(M: MiuraOper) -> ScalarOper:
     """ScalarOper of the product (d - chi_1)(d - chi_2)...(d - chi_n)."""

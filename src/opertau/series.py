@@ -192,9 +192,7 @@ class TruncSeries:
             return NotImplemented
         if self.is_zero or other.is_zero:
             # product window still shrinks with the truncated factor
-            order = min(self.order + other.pole, other.order + self.pole) \
-                if (self.coeffs or other.coeffs) else min(self.order, other.order)
-            return TruncSeries.zero(order)
+            return TruncSeries.zero(min(self.order + other.pole, other.order + self.pole))
         pole = self.pole + other.pole
         if pole < pole_floor():
             raise PoleOverflow(f"product pole {pole} below floor {pole_floor()}")

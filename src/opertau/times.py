@@ -5,11 +5,23 @@ family t'_k (used by two-sided Toda correlators).  Both groups are graded
 by weight(t_k) = weight(t'_k) = k, and a series with bound D stores no
 monomial of weighted degree above D.  ``bound=None`` marks an exact
 polynomial (no truncation happened on any code path that produced it).
+
+Invariant of every stored series: each key is a pair of nonnegative
+exponent tuples without trailing zeros, no key weighs more than the bound,
+and no coefficient is zero.  The public constructor establishes it from
+arbitrary input; the arithmetic keeps it by construction (the sum of two
+trimmed nonnegative tuples is trimmed) and builds its results with the
+trusted ``_make``, which only drops zero coefficients.  A product term
+weighs the sum of its factors' weights, so ``*`` sorts the right factor by
+weight once and stops each row at the bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import count
+from operator import add, itemgetter, mul
 from typing import Iterable
 
 from .series import Scalar, rat
@@ -30,9 +42,16 @@ def _trim(e: Iterable[int]) -> Expo:
 
 def weight(key: Key) -> int:
     e, ep = key
-    return sum((i + 1) * v for i, v in enumerate(e)) + sum(
-        (i + 1) * v for i, v in enumerate(ep)
-    )
+    return sum(map(mul, e, count(1))) + sum(map(mul, ep, count(1)))
+
+
+def _add_expo(a: Expo, b: Expo) -> Expo:
+    """Sum of two trimmed exponent tuples (trimmed again, see module doc)."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    return tuple(map(add, a, b)) + a[len(b):]
 
 
 def _min_bound(a: int | None, b: int | None) -> int | None:
@@ -41,6 +60,10 @@ def _min_bound(a: int | None, b: int | None) -> int | None:
     if b is None:
         return a
     return min(a, b)
+
+
+def _cut(terms: dict[Key, Fraction], bound: int) -> dict[Key, Fraction]:
+    return {k: c for k, c in terms.items() if weight(k) <= bound}
 
 
 class TimesSeries:
@@ -55,11 +78,22 @@ class TimesSeries:
             if c == 0:
                 continue
             key = (_trim(key[0]), _trim(key[1]))
+            if any(v < 0 for v in key[0] + key[1]):
+                raise ValueError("negative exponent")
             if bound is not None and weight(key) > bound:
                 raise ValueError("term above the weighted bound")
             out[key] = out.get(key, Fraction(0)) + c
         self.terms = {k: v for k, v in out.items() if v != 0}
         self.bound = bound
+
+    @classmethod
+    def _make(cls, terms: dict[Key, Fraction], bound: int | None) -> "TimesSeries":
+        """Trusted constructor: ``terms`` already satisfies the module
+        invariant except that zero coefficients are dropped here."""
+        s = object.__new__(cls)
+        s.terms = {k: c for k, c in terms.items() if c}
+        s.bound = bound
+        return s
 
     # -- constructors -----------------------------------------------------
 
@@ -123,20 +157,23 @@ class TimesSeries:
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self):
-        return TimesSeries({k: -c for k, c in self.terms.items()}, self.bound)
+        return TimesSeries._make({k: -c for k, c in self.terms.items()}, self.bound)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = TimesSeries.const(other, None)
+            other = TimesSeries._make({ZERO_KEY: rat(other)}, None)
         elif not isinstance(other, TimesSeries):
             return NotImplemented
         bound = _min_bound(self.bound, other.bound)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        if bound is not None:
-            out = {k: c for k, c in out.items() if weight(k) <= bound}
-        return TimesSeries(out, bound)
+        a, b = self.terms, other.terms
+        if self.bound != bound:
+            a = _cut(a, bound)
+        if other.bound != bound:
+            b = _cut(b, bound)
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = out[k] + c if k in out else c
+        return TimesSeries._make(out, bound)
 
     __radd__ = __add__
 
@@ -151,65 +188,59 @@ class TimesSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = rat(other)
-            return TimesSeries({k: c * v for k, v in self.terms.items()}, self.bound)
+            return TimesSeries._make({k: c * v for k, v in self.terms.items()}, self.bound)
         if not isinstance(other, TimesSeries):
             return NotImplemented
         bound = _min_bound(self.bound, other.bound)
+        graded = sorted(
+            ((weight(k), k[0], k[1], c) for k, c in other.terms.items()),
+            key=itemgetter(0),
+        )
+        weights = [g[0] for g in graded]
         out: dict[Key, Fraction] = {}
         for (e1, p1), c1 in self.terms.items():
-            w1 = weight((e1, p1))
-            for (e2, p2), c2 in other.terms.items():
-                if bound is not None and w1 + weight((e2, p2)) > bound:
-                    continue
-                n = max(len(e1), len(e2))
-                e = tuple(
-                    (e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0)
-                    for i in range(n)
-                )
-                m = max(len(p1), len(p2))
-                p = tuple(
-                    (p1[i] if i < len(p1) else 0) + (p2[i] if i < len(p2) else 0)
-                    for i in range(m)
-                )
-                key = (_trim(e), _trim(p))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return TimesSeries(out, bound)
+            row = graded
+            if bound is not None:
+                row = graded[: bisect_right(weights, bound - weight((e1, p1)))]
+            for _, e2, p2, c2 in row:
+                key = (_add_expo(e1, e2), _add_expo(p1, p2))
+                c = c1 * c2
+                out[key] = out[key] + c if key in out else c
+        return TimesSeries._make(out, bound)
 
     __rmul__ = __mul__
 
     def truncate(self, bound: int | None) -> "TimesSeries":
         b = _min_bound(self.bound, bound)
-        if b is None:
+        if b == self.bound:
             return self
-        return TimesSeries({k: c for k, c in self.terms.items() if weight(k) <= b}, b)
+        return TimesSeries._make(_cut(self.terms, b), b)
 
     def derivative(self, k: int, prime: bool = False) -> "TimesSeries":
         """d/dt_k (or d/dt'_k); the weighted bound drops by k."""
+        i = k - 1
         out: dict[Key, Fraction] = {}
         for (e, p), c in self.terms.items():
             src = p if prime else e
-            if len(src) < k or src[k - 1] == 0:
+            if len(src) <= i or src[i] == 0:
                 continue
-            n = src[k - 1]
-            new = list(src)
-            new[k - 1] -= 1
-            key = (_trim(e), _trim(new)) if prime else (_trim(new), _trim(p))
-            out[key] = out.get(key, Fraction(0)) + n * c
+            n = src[i]
+            new = src[:i] + (n - 1,) + src[i + 1:]
+            if n == 1 and i == len(src) - 1:
+                new = _trim(new)
+            out[(e, new) if prime else (new, p)] = n * c
         bound = None if self.bound is None else self.bound - k
-        return TimesSeries(out, bound)
+        return TimesSeries._make(out, bound)
 
     def mul_var(self, k: int, prime: bool = False) -> "TimesSeries":
         """Multiply by t_k (or t'_k); knowledge shifts up by weight k."""
+        unit = (0,) * (k - 1) + (1,)
         out: dict[Key, Fraction] = {}
         for (e, p), c in self.terms.items():
-            src = list(p if prime else e)
-            while len(src) < k:
-                src.append(0)
-            src[k - 1] += 1
-            key = (tuple(e), _trim(src)) if prime else (_trim(src), tuple(p))
+            key = (e, _add_expo(p, unit)) if prime else (_add_expo(e, unit), p)
             out[key] = c
         bound = None if self.bound is None else self.bound + k
-        return TimesSeries(out, bound)
+        return TimesSeries._make(out, bound)
 
     def exp(self) -> "TimesSeries":
         """exp of a series with no constant term; needs a finite bound."""
@@ -252,7 +283,7 @@ class TimesSeries:
 
     def restrict_primary(self) -> "TimesSeries":
         """Set every t'_k = 0."""
-        return TimesSeries(
+        return TimesSeries._make(
             {k: c for k, c in self.terms.items() if not k[1]}, self.bound
         )
 

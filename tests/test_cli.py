@@ -35,6 +35,43 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert run(["miura", "/nonexistent/m.json"]) == 2
 
+    def test_frame_missing_key(self, tmp_path, capsys):
+        path = write_json(tmp_path, "f.json", {"window": [-2, 2]})
+        assert run(["--json", "--degree", "4", "tau", "--frame", path]) == 2
+        assert "malformed frame JSON" in capsys.readouterr().err
+
+    def test_zero_denominator(self, tmp_path, capsys):
+        frame = {"window": [-2, 2], "columns": [{"0": ["1", "0"]}, {"1": ["1", "1"]}]}
+        path = write_json(tmp_path, "f.json", frame)
+        assert run(["--json", "--degree", "4", "tau", "--frame", path]) == 2
+        assert "malformed fraction JSON" in capsys.readouterr().err
+
+    def test_truncated_json(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"window": [-2, 2], "columns": [{"0": ["1",')
+        assert run(["--json", "--degree", "4", "tau", "--frame", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_tau_term_above_bound(self, tmp_path, capsys):
+        tau = {"bound": 5, "terms": [{"exps": {"t3": 2}, "coef": ["1", "1"]}]}
+        path = write_json(tmp_path, "tau.json", tau)
+        assert run(["--json", "hirota-check", "--tau", path]) == 2
+        assert "malformed times JSON" in capsys.readouterr().err
+
+    def test_tau_negative_exponent(self, tmp_path, capsys):
+        tau = {"bound": None, "terms": [{"exps": {"t1": -1}, "coef": ["1", "1"]}]}
+        path = write_json(tmp_path, "tau.json", tau)
+        assert run(["--json", "hirota-check", "--tau", path]) == 2
+
+    def test_toda_pairs_of_wrong_shape(self, tmp_path, capsys):
+        path = write_json(tmp_path, "pairs.json", [["1/2", "2"]])
+        assert run(["--json", "--degree", "4", "toda-tau", "--pairs", path]) == 2
+
+    def test_bad_window(self, tmp_path, capsys):
+        chi = tpoly({1: 1}, 12)
+        path = write_json(tmp_path, "m.json", jsonio.miura_to_json(MiuraOper(2, (chi, -chi))))
+        assert run(["--window=-6", "main-check", "--miura", path]) == 2
+
 
 class TestCommands:
     def test_root_embedded_check(self, capsys):

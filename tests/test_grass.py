@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 
-from opertau.errors import ChargeMismatch, DegenerateFrame
+from opertau.errors import BadArgument, ChargeMismatch, DegenerateFrame
 from opertau.grass import (
     GrassPoint,
     grass_window,
@@ -14,7 +16,7 @@ from opertau.grass import (
     tau_schur,
 )
 from opertau.schur import h_complete, mn_character, schur_polynomial
-from opertau.times import TimesSeries
+from opertau.times import TimesSeries, weight
 
 
 def jacobi_trudi(lam, degree=None):
@@ -132,3 +134,74 @@ class TestHirota:
     def test_negative_control(self):
         bad = TimesSeries.one(None) + TimesSeries.var(1) * TimesSeries.var(1)
         assert not hirota_residual(bad, 4).is_zero
+
+
+def _hirota_monomial(f, g, powers):
+    """Hirota monomial prod D_k^{a_k} applied to f.g, expanded term by term."""
+    terms = [(f, g, Fraction(1))]
+    for k, a in powers.items():
+        for _ in range(a):
+            new = []
+            for (u, v, c) in terms:
+                new.append((u.derivative(k), v, c))
+                new.append((u, v.derivative(k), -c))
+            terms = new
+    acc = None
+    for (u, v, c) in terms:
+        t = u * v * c
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def reference_hirota(tau, degree):
+    """The KP residual from the unfolded Hirota monomials (28 products)."""
+    t = tau if tau.bound is not None else tau.truncate(degree + 4)
+    r = (
+        _hirota_monomial(t, t, {1: 4})
+        + _hirota_monomial(t, t, {2: 2}) * 3
+        + _hirota_monomial(t, t, {1: 1, 3: 1}) * (-4)
+    )
+    return r.truncate(degree)
+
+
+def random_times(rng, top, bound, nterms=20):
+    """Random series in t1..t4 and t'1 of weight <= top (not a KP tau)."""
+    terms = {((), ()): Fraction(1)}
+    while len(terms) < nterms:
+        e = tuple(rng.randint(0, 2) for _ in range(4))
+        p = (rng.randint(0, 1),)
+        if weight((e, p)) <= top:
+            terms[(e, p)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return TimesSeries(terms, bound)
+
+
+class TestLeibnizHirota:
+    @pytest.mark.parametrize("degree, extra", [(3, 0), (4, 0), (4, 2), (5, 1)])
+    def test_equals_reference_on_non_kp_taus(self, degree, extra):
+        rng = random.Random(7 * degree + extra)
+        for _ in range(3):
+            bound = degree + 4 + extra
+            tau = random_times(rng, bound, bound)
+            got = hirota_residual(tau, degree)
+            assert not got.is_zero
+            assert got == reference_hirota(tau, degree)
+            assert got.bound == degree
+
+    def test_equals_reference_on_exact_input(self):
+        rng = random.Random(11)
+        for degree in (2, 4):
+            tau = random_times(rng, degree + 6, None)
+            got = hirota_residual(tau, degree)
+            assert not got.is_zero
+            assert got == reference_hirota(tau, degree)
+            assert got.bound == degree
+
+    def test_equals_reference_on_kp_tau(self, rng):
+        W = random_perturbed_frame(rng, (-6, 6))
+        tau = tau_schur(W, 9)
+        got = hirota_residual(tau, 5)
+        assert got == reference_hirota(tau, 5) == TimesSeries.zero(5)
+
+    def test_short_bound_rejected(self):
+        with pytest.raises(BadArgument):
+            hirota_residual(TimesSeries.one(7), 4)

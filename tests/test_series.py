@@ -63,6 +63,15 @@ class TestMul:
             assert dict(got.items()) == expect
             assert got.order == order
 
+    def test_zero_times_zero_claims_sum_of_orders(self):
+        # O(t^-3) * O(t^-4): the unknown tails meet no earlier than t^-7
+        prod = TruncSeries.zero(-3) * TruncSeries.zero(-4)
+        assert prod.order == -7 and prod.is_zero
+        # completions t^-3 and t^-4 multiply to t^-7, which a claim of
+        # O(t^-4) would have declared zero
+        completed = TruncSeries.monomial(-3, 1, 0) * TruncSeries.monomial(-4, 1, 0)
+        assert completed.coeff(-7) == 1
+
     def test_pole_floor(self):
         a = tpoly({-9: 1})
         with configure_pole_floor(-10):

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opertau.times import TimesSeries, weight
+from opertau.times import ZERO_KEY, TimesSeries, _min_bound, _trim, weight
 
 F = Fraction
 
@@ -86,3 +87,241 @@ class TestCalculus:
         r = x.restrict_primary()
         assert r.coeff(((1,), ())) == 1
         assert r.coeff(((), (0, 1))) == 0
+
+
+# -- reference kernels: the plain pair loops, every result rebuilt through
+# the validating public constructor ------------------------------------------
+
+
+def _pad_add(a, b):
+    n = max(len(a), len(b))
+    return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def reference_mul(a, b):
+    bound = _min_bound(a.bound, b.bound)
+    out = {}
+    for (e1, p1), c1 in a.terms.items():
+        w1 = weight((e1, p1))
+        for (e2, p2), c2 in b.terms.items():
+            if bound is not None and w1 + weight((e2, p2)) > bound:
+                continue
+            key = (_trim(_pad_add(e1, e2)), _trim(_pad_add(p1, p2)))
+            out[key] = out.get(key, F(0)) + c1 * c2
+    return TimesSeries(out, bound)
+
+
+def reference_scale(a, c):
+    return TimesSeries({k: c * v for k, v in a.terms.items()}, a.bound)
+
+
+def reference_add(a, b):
+    bound = _min_bound(a.bound, b.bound)
+    out = dict(a.terms)
+    for k, c in b.terms.items():
+        out[k] = out.get(k, F(0)) + c
+    if bound is not None:
+        out = {k: c for k, c in out.items() if weight(k) <= bound}
+    return TimesSeries(out, bound)
+
+
+def reference_truncate(a, bound):
+    b = _min_bound(a.bound, bound)
+    if b is None:
+        return a
+    return TimesSeries({k: c for k, c in a.terms.items() if weight(k) <= b}, b)
+
+
+def reference_derivative(a, k, prime=False):
+    out = {}
+    for (e, p), c in a.terms.items():
+        src = p if prime else e
+        if len(src) < k or src[k - 1] == 0:
+            continue
+        new = list(src)
+        new[k - 1] -= 1
+        key = (e, _trim(new)) if prime else (_trim(new), p)
+        out[key] = out.get(key, F(0)) + src[k - 1] * c
+    return TimesSeries(out, None if a.bound is None else a.bound - k)
+
+
+def reference_mul_var(a, k, prime=False):
+    out = {}
+    for (e, p), c in a.terms.items():
+        src = list(p if prime else e) + [0] * k
+        src[k - 1] += 1
+        key = (e, _trim(src)) if prime else (_trim(src), p)
+        out[key] = c
+    return TimesSeries(out, None if a.bound is None else a.bound + k)
+
+
+def reference_exp(a):
+    result = TimesSeries.one(a.bound)
+    v = a.min_weight()
+    if v is None:
+        return result
+    power = TimesSeries.one(a.bound)
+    fact = 1
+    for j in range(1, a.bound // v + 1):
+        power = reference_mul(power, a)
+        fact *= j
+        result = reference_add(result, reference_scale(power, F(1, fact)))
+        if power.is_zero:
+            break
+    return result
+
+
+def reference_invert(a):
+    c0 = a.constant_term()
+    g = reference_scale(reference_add(reference_scale(a, 1 / c0), TimesSeries.const(-1)), F(-1))
+    result = TimesSeries.one(a.bound)
+    power = TimesSeries.one(a.bound)
+    v = g.min_weight()
+    if v is not None:
+        for _ in range(a.bound // v):
+            power = reference_mul(power, g)
+            if power.is_zero:
+                break
+            result = reference_add(result, power)
+    return reference_scale(result, 1 / c0)
+
+
+# keys in t1..t3 and t'1, t'2; untrimmed tuples exercise the constructor's trim
+raw_keys = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=3), max_size=3).map(tuple),
+    st.lists(st.integers(min_value=0, max_value=2), max_size=2).map(tuple),
+)
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+bounds = st.one_of(st.none(), st.integers(min_value=0, max_value=7))
+
+
+@st.composite
+def series(draw, bound=bounds, max_terms=8):
+    b = draw(bound)
+    terms = draw(st.dictionaries(raw_keys, coeffs, max_size=max_terms))
+    cap = 7 if b is None else b
+    return TimesSeries({k: c for k, c in terms.items() if weight(k) <= cap}, b)
+
+
+@st.composite
+def exp_input(draw):
+    s = draw(series(bound=st.integers(min_value=0, max_value=6)))
+    return TimesSeries({k: c for k, c in s.terms.items() if k != ZERO_KEY}, s.bound)
+
+
+@st.composite
+def invert_input(draw):
+    s = draw(series(bound=st.integers(min_value=0, max_value=6)))
+    c0 = draw(coeffs.filter(lambda c: c != 0))
+    return TimesSeries({**s.terms, ZERO_KEY: c0}, s.bound)
+
+
+class TestKernelEqualsReference:
+    # ``==`` compares exactly the terms (keys and Fractions) and the bound
+    @settings(max_examples=30, deadline=None)
+    @given(series(), series(), st.integers(min_value=-2, max_value=2))
+    def test_ring_operations(self, a, b, c):
+        assert a * b == reference_mul(a, b)
+        assert a + b == reference_add(a, b)
+        assert a - b == reference_add(a, reference_scale(b, F(-1)))
+        assert a * c == reference_scale(a, F(c))
+        assert a + c == reference_add(a, TimesSeries.const(c))
+
+    @settings(max_examples=30, deadline=None)
+    @given(series(), st.integers(min_value=1, max_value=4), st.booleans(), bounds)
+    def test_calculus(self, a, k, prime, cut):
+        assert a.derivative(k, prime) == reference_derivative(a, k, prime)
+        assert a.mul_var(k, prime) == reference_mul_var(a, k, prime)
+        assert a.truncate(cut) == reference_truncate(a, cut)
+
+    @settings(max_examples=15, deadline=None)
+    @given(exp_input())
+    def test_exp(self, a):
+        assert a.exp() == reference_exp(a)
+
+    @settings(max_examples=20, deadline=None)
+    @given(invert_input())
+    def test_invert(self, a):
+        assert a.invert() == reference_invert(a)
+
+    def test_public_constructor_still_validates(self):
+        s = TimesSeries({((1, 0), (0,)): 2, ((1,), ()): F(1, 2), ((2,), ()): 3}, 2)
+        assert s.terms == {((1,), ()): F(5, 2), ((2,), ()): F(3)}
+        with pytest.raises(TypeError):
+            TimesSeries({ZERO_KEY: 0.5}, 1)
+
+    def test_constructor_rejects_negative_exponents(self):
+        # the kernel adds trimmed exponent tuples without re-trimming, which
+        # is only sound for nonnegative exponents
+        with pytest.raises(ValueError):
+            TimesSeries({((1, -1), ()): 1}, None)
+
+
+# -- completion oracle: a truncated result may claim only coefficients that
+# every completion of its inputs agrees on -------------------------------------
+
+ORACLE_TOP = 7
+
+
+def _monomials(top):
+    """Monomials in t1, t2, t3, t'1 of weight <= top."""
+    out = []
+    for a in range(top + 1):
+        for b in range(top // 2 + 1):
+            for c in range(top // 3 + 1):
+                for d in range(top + 1):
+                    key = (_trim((a, b, c)), _trim((d,)))
+                    if weight(key) <= top:
+                        out.append(key)
+    return out
+
+
+MONOMIALS = _monomials(ORACLE_TOP)
+
+
+def complete(s, rng):
+    """``s`` with random coefficients on unknown monomials up to ORACLE_TOP."""
+    if s.bound is None:
+        return s
+    terms = dict(s.terms)
+    for key in MONOMIALS:
+        if weight(key) > s.bound and rng.random() < 0.5:
+            terms[key] = F(rng.randint(-3, 3), rng.randint(1, 3))
+    return TimesSeries(terms, ORACLE_TOP)
+
+
+def claims_hold(claimed, full):
+    assert full.bound is None or (claimed.bound is not None and claimed.bound <= full.bound)
+    for key in set(claimed.terms) | set(full.terms):
+        if claimed.bound is None or weight(key) <= claimed.bound:
+            assert claimed.coeff(key) == full.coeff(key), key
+
+
+oracle_bounds = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
+seeds = st.integers(min_value=0, max_value=2**32)
+
+
+class TestCompletionOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(series(bound=oracle_bounds), series(bound=oracle_bounds), seeds)
+    def test_mul(self, a, b, seed):
+        rng = random.Random(seed)
+        claims_hold(a * b, complete(a, rng) * complete(b, rng))
+
+    @settings(max_examples=20, deadline=None)
+    @given(series(bound=oracle_bounds), st.integers(min_value=1, max_value=3), seeds)
+    def test_derivative(self, a, k, seed):
+        claims_hold(a.derivative(k), complete(a, random.Random(seed)).derivative(k))
+
+    @settings(max_examples=15, deadline=None)
+    @given(exp_input().filter(lambda s: s.bound <= 4), seeds)
+    def test_exp(self, a, seed):
+        full = complete(a, random.Random(seed))
+        full = TimesSeries({k: c for k, c in full.terms.items() if k != ZERO_KEY}, full.bound)
+        claims_hold(a.exp(), full.exp())
+
+    @settings(max_examples=10, deadline=None)
+    @given(invert_input().filter(lambda s: s.bound <= 4), seeds)
+    def test_invert(self, a, seed):
+        full = complete(a, random.Random(seed))
+        claims_hold(a.invert(), full.invert())
