@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage or parse error, 3 precondition violation,
 4 internal invariant breach.  Every report carries the truncation order,
-depth, window and degree actually used.
+depth, window and degree; ``hecke-verify`` reports instead the n, N and
+z-range of the tensor window it checked.
 """
 
 from __future__ import annotations
@@ -109,6 +110,10 @@ def _emit(args, report: dict) -> None:
     report.setdefault("depth", args.depth)
     report.setdefault("window", args.window)
     report.setdefault("degree", args.degree)
+    _print(args, report)
+
+
+def _print(args, report: dict) -> None:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -212,9 +217,11 @@ def _run(args) -> int:
         results = verify_relations(win)
         report = {name: ok for name, ok in results}
         ok = all(report.values())
+        used = {"n": win.n, "N": win.N, "zrange": list(win.zrange)}
         if args.json:
-            _emit(args, {"relations": report, "all_hold": ok})
+            _print(args, {"relations": report, "all_hold": ok, **used})
         else:
+            print(f"n: {win.n}  N: {win.N}  zrange: {win.zrange[0]},{win.zrange[1]}")
             for name, good in results:
                 print(f"{'PASS' if good else 'FAIL'}  {name}")
             print(f"all_hold: {ok}")

@@ -10,7 +10,8 @@ Toda pairs:  [["a", "p", "q"], ...]
 
 Every decoder raises :class:`ParseError` on a document of the wrong shape
 or with values its type rejects (a zero denominator, a term above the
-stated bound), so bad input never escapes as a bare Python exception.
+stated bound, a float or a boolean where an integer belongs), so bad input
+never escapes as a bare Python exception.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def _decoder(fn):
     return decode
 
 
+def _int(v) -> int:
+    """An integer field: a JSON integer that is not a boolean, or a decimal
+    string; a float or a boolean is rejected, never truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise TypeError(f"expected an integer or a decimal string, got {v!r}")
+    return int(v)
+
+
 def fraction_to_json(c: Fraction) -> list[str]:
     return [str(c.numerator), str(c.denominator)]
 
@@ -50,7 +59,7 @@ def fraction_to_json(c: Fraction) -> list[str]:
 @_decoder
 def fraction_from_json(v) -> Fraction:
     num, den = v
-    return Fraction(int(num), int(den))
+    return Fraction(_int(num), _int(den))
 
 
 def series_to_json(s: TruncSeries) -> dict:
@@ -64,9 +73,9 @@ def series_to_json(s: TruncSeries) -> dict:
 @_decoder
 def series_from_json(d: dict) -> TruncSeries:
     return TruncSeries(
-        int(d["pole"]),
+        _int(d["pole"]),
         [fraction_from_json(c) for c in d["coeffs"]],
-        int(d["order"]),
+        _int(d["order"]),
     )
 
 
@@ -87,9 +96,9 @@ def times_from_json(d: dict) -> TimesSeries:
         p: dict[int, int] = {}
         for name, v in item["exps"].items():
             if name.startswith("t'"):
-                p[int(name[2:])] = int(v)
+                p[int(name[2:])] = _int(v)
             else:
-                e[int(name[1:])] = int(v)
+                e[int(name[1:])] = _int(v)
         ne = max(e) if e else 0
         np_ = max(p) if p else 0
         key = (
@@ -98,7 +107,7 @@ def times_from_json(d: dict) -> TimesSeries:
         )
         terms[key] = fraction_from_json(item["coef"])
     bound = d.get("bound")
-    return TimesSeries(terms, None if bound is None else int(bound))
+    return TimesSeries(terms, None if bound is None else _int(bound))
 
 
 def scalar_oper_to_json(S: ScalarOper) -> dict:
@@ -107,7 +116,7 @@ def scalar_oper_to_json(S: ScalarOper) -> dict:
 
 @_decoder
 def scalar_oper_from_json(d: dict) -> ScalarOper:
-    return ScalarOper(int(d["n"]), tuple(series_from_json(s) for s in d["q"]))
+    return ScalarOper(_int(d["n"]), tuple(series_from_json(s) for s in d["q"]))
 
 
 def miura_to_json(M: MiuraOper) -> dict:
@@ -116,7 +125,7 @@ def miura_to_json(M: MiuraOper) -> dict:
 
 @_decoder
 def miura_from_json(d: dict) -> MiuraOper:
-    return MiuraOper(int(d["n"]), tuple(series_from_json(s) for s in d["chi"]))
+    return MiuraOper(_int(d["n"]), tuple(series_from_json(s) for s in d["chi"]))
 
 
 def psido_to_json(A: PsiDO) -> dict:
@@ -131,7 +140,7 @@ def psido_from_json(d: dict) -> PsiDO:
     depth = d.get("depth")
     return PsiDO(
         {int(i): series_from_json(s) for i, s in d["terms"].items()},
-        None if depth is None else int(depth),
+        None if depth is None else _int(depth),
     )
 
 
@@ -152,7 +161,7 @@ def frame_from_json(d: dict) -> GrassPoint:
         {int(k): fraction_from_json(v) for k, v in col.items()}
         for col in d["columns"]
     ]
-    return GrassPoint((int(lo), int(hi)), cols)
+    return GrassPoint((_int(lo), _int(hi)), cols)
 
 
 @_decoder

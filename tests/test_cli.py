@@ -67,6 +67,15 @@ class TestExitCodes:
         path = write_json(tmp_path, "pairs.json", [["1/2", "2"]])
         assert run(["--json", "--degree", "4", "toda-tau", "--pairs", path]) == 2
 
+    def test_float_where_an_integer_belongs(self, tmp_path, capsys):
+        frame = {"window": [-2, 2], "columns": [{"0": [1.5, 2]}, {"1": ["1", "1"]}]}
+        path = write_json(tmp_path, "f.json", frame)
+        assert run(["--json", "--degree", "4", "tau", "--frame", path]) == 2
+        assert "malformed fraction JSON" in capsys.readouterr().err
+        tau = {"bound": 8, "terms": [{"exps": {"t1": 1.9}, "coef": ["1", "1"]}]}
+        path = write_json(tmp_path, "tau.json", tau)
+        assert run(["--json", "hirota-check", "--tau", path]) == 2
+
     def test_bad_window(self, tmp_path, capsys):
         chi = tpoly({1: 1}, 12)
         path = write_json(tmp_path, "m.json", jsonio.miura_to_json(MiuraOper(2, (chi, -chi))))
@@ -124,6 +133,13 @@ class TestCommands:
         assert run(["hecke-verify", "--n", "2", "--N", "2", "--zrange", "1"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_hecke_verify_reports_its_window(self, capsys):
+        assert run(["--json", "hecke-verify", "--n", "3", "--N", "2", "--zrange", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["n"], out["N"], out["zrange"]) == (3, 2, [-1, 1])
+        assert out["all_hold"] is True and len(out["relations"]) == 7
+        assert not {"order", "depth", "window", "degree"} & set(out)
 
     def test_bc_curve(self, tmp_path, capsys):
         p = tmp_path / "p.txt"

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from opertau import jsonio
+from opertau.errors import ParseError
 from opertau.grass import GrassPoint
 from opertau.oper import MiuraOper, ScalarOper
 from opertau.psido import PsiDO
@@ -40,3 +43,45 @@ def test_frame_round_trip():
     W = GrassPoint((-4, 4), [{0: 1, -1: F(2, 3)}, {1: 1}, {2: 1}, {3: 1}])
     W2 = jsonio.frame_from_json(jsonio.frame_to_json(W))
     assert W == W2
+
+
+class TestStrictIntegers:
+    """Integer fields take a JSON integer or a decimal string; a float or a
+    boolean is a ParseError, never truncated or read as 0/1."""
+
+    @pytest.mark.parametrize("bad", [[1.5, 2], [True, 3], ["1", 2.0], ["2", True]])
+    def test_fraction(self, bad):
+        with pytest.raises(ParseError):
+            jsonio.fraction_from_json(bad)
+
+    def test_fraction_takes_strings_and_ints(self):
+        assert jsonio.fraction_from_json(["-3", 6]) == F(-1, 2)
+        assert jsonio.fraction_from_json([4, "6"]) == F(2, 3)
+
+    @pytest.mark.parametrize("field, value", [("pole", 1.0), ("order", 12.0), ("order", 12.5)])
+    def test_series_fields(self, field, value):
+        d = jsonio.series_to_json(tpoly({1: 2}))
+        d[field] = value
+        with pytest.raises(ParseError):
+            jsonio.series_from_json(d)
+
+    @pytest.mark.parametrize("exps, bound", [({"t1": 1.9}, 8), ({"t'2": True}, 8), ({"t1": 1}, 8.0)])
+    def test_times_exponents_and_bound(self, exps, bound):
+        d = {"bound": bound, "terms": [{"exps": exps, "coef": ["1", "1"]}]}
+        with pytest.raises(ParseError):
+            jsonio.times_from_json(d)
+
+    @pytest.mark.parametrize("window", [[-4.0, 4], [-4, 4.5]])
+    def test_frame_window(self, window):
+        d = jsonio.frame_to_json(GrassPoint((-4, 4), [{0: 1}, {1: 1}, {2: 1}, {3: 1}]))
+        d["window"] = window
+        with pytest.raises(ParseError):
+            jsonio.frame_from_json(d)
+
+    def test_oper_and_psido_fields(self):
+        S = jsonio.scalar_oper_to_json(ScalarOper(2, (tpoly({1: 1}), tpoly({0: 1}))))
+        with pytest.raises(ParseError):
+            jsonio.scalar_oper_from_json({**S, "n": 2.0})
+        A = jsonio.psido_to_json(PsiDO({2: TruncSeries.one(12)}, depth=-5))
+        with pytest.raises(ParseError):
+            jsonio.psido_from_json({**A, "depth": -5.0})
