@@ -1,9 +1,11 @@
 """Command-line interface: deterministic JSON reports for every subcommand.
 
 Exit codes: 0 success, 2 usage or parse error, 3 precondition violation,
-4 internal invariant breach.  Every report carries the truncation order,
-depth, window and degree; ``hecke-verify`` reports instead the n, N and
-z-range of the tensor window it checked.
+4 internal invariant breach.  The operator and round-trip reports carry the
+truncation order, depth, window and degree; the others report only what
+they used: ``tau`` its frame's window and the degree, ``toda-tau`` the
+degree, ``hirota-check`` the degree it checked, ``hecke-verify`` the n, N
+and z-range of the tensor window it checked.
 """
 
 from __future__ import annotations
@@ -192,13 +194,18 @@ def _run(args) -> int:
     if args.command == "tau":
         W = jsonio.frame_from_json(_load(args.frame))
         tau = tau_schur(W, args.degree)
-        _emit(args, {"tau": jsonio.times_to_json(tau), "virtdim": W.virtdim})
+        _print(args, {
+            "tau": jsonio.times_to_json(tau),
+            "virtdim": W.virtdim,
+            "window": list(W.window),
+            "degree": args.degree,
+        })
         return 0
     if args.command == "hirota-check":
         tau = jsonio.times_from_json(_load(args.tau))
         bound = tau.bound if tau.bound is not None else args.degree + 4
         residual = hirota_residual(tau, bound - 4)
-        _emit(
+        _print(
             args,
             {
                 "residual": jsonio.times_to_json(residual),
@@ -210,7 +217,9 @@ def _run(args) -> int:
     if args.command == "toda-tau":
         pairs = jsonio.pairs_from_json(_load(args.pairs))
         tau = toda_tau(pairs, args.degree, cutoff=args.cutoff)
-        _emit(args, {"tau": jsonio.times_to_json(tau), "cutoff": args.cutoff})
+        _print(args, {
+            "tau": jsonio.times_to_json(tau), "cutoff": args.cutoff, "degree": args.degree,
+        })
         return 0
     if args.command == "hecke-verify":
         win = TensorWindow(args.n, args.factors, (-args.zrange, args.zrange))

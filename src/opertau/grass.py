@@ -47,7 +47,7 @@ class GrassPoint:
                 raise BadArgument("column support must lie inside the window")
             cols.append(col)
         self.window = (lo, hi)
-        self.columns = _echelon(cols) if reduce else [dict(c) for c in cols]
+        self.columns = _echelon(cols, (lo, hi)) if reduce else [dict(c) for c in cols]
 
     # -- basic data ---------------------------------------------------------
 
@@ -78,13 +78,8 @@ class GrassPoint:
         lo, hi = self.window
         floor = lo if ignore_below is None else ignore_below
         col = {k: v for k, v in _clean(col).items() if k < hi}
-        work = dict(col)
-        for piv, pcol in zip(self._pivots(), self.columns):
-            if piv in work and work[piv] != 0:
-                f = work[piv]  # pivot columns are normalized to 1
-                for k, v in pcol.items():
-                    work[k] = work.get(k, Fraction(0)) - f * v
-        return all(v == 0 or k < floor for k, v in work.items())
+        rest = linalg.remainder(col, self.columns, self._pivots())
+        return all(k < floor for k in rest)
 
     def _pivots(self) -> list[int]:
         return [max(c) for c in self.columns]
@@ -104,50 +99,18 @@ class GrassPoint:
         return f"GrassPoint(window=({lo},{hi}), cols={len(self.columns)}, virtdim={self.virtdim})"
 
 
-def _echelon(cols: list[Column]) -> list[Column]:
-    """Reduced column echelon by highest z-degree pivots, sorted by pivot."""
-    work = [dict(c) for c in cols if c]
-    if len(work) != len(cols):
+def _echelon(cols: list[Column], window: Window) -> list[Column]:
+    """Reduced column echelon by highest z-degree pivots, sorted by pivot:
+    the rref of the frame laid out as rows over the degrees hi-1, ..., lo."""
+    if not all(cols):
         raise DegenerateFrame("zero column in frame")
-    done: dict[int, Column] = {}
-    while work:
-        col = work.pop(0)
-        while col:
-            piv = max(col)
-            if piv not in done:
-                inv = Fraction(1) / col[piv]
-                done[piv] = {k: v * inv for k, v in col.items()}
-                break
-            f = col[piv]
-            ref = done[piv]
-            col = {
-                k: v
-                for k, v in (
-                    (k, col.get(k, Fraction(0)) - f * ref.get(k, Fraction(0)))
-                    for k in set(col) | set(ref)
-                )
-                if v != 0
-            }
-        else:
-            raise DegenerateFrame("linearly dependent frame columns")
-    # back-substitute in descending pivot order: reference columns only have
-    # support at or below their pivot, so no eliminated degree reappears
-    pivots = sorted(done)
-    for p in reversed(pivots):
-        for q in pivots:
-            if q == p:
-                continue
-            c = done[q].get(p)
-            if c:
-                done[q] = {
-                    k: v
-                    for k, v in (
-                        (k, done[q].get(k, Fraction(0)) - c * done[p].get(k, Fraction(0)))
-                        for k in set(done[q]) | set(done[p])
-                    )
-                    if v != 0
-                }
-    return [done[p] for p in pivots]
+    lo, hi = window
+    degrees = range(hi - 1, lo - 1, -1)
+    zero = Fraction(0)
+    red, pivots = linalg.rref([[c.get(k, zero) for k in degrees] for c in cols])
+    if len(pivots) < len(cols):
+        raise DegenerateFrame("linearly dependent frame columns")
+    return [{k: v for k, v in zip(degrees, row) if v} for row in reversed(red)]
 
 
 def grass_window(columns, window: Window) -> GrassPoint:
@@ -219,55 +182,14 @@ def tau_determinant(W: GrassPoint, degree: int, normalize: bool = True) -> Times
                     e = e + hs[r - s] * v
             row.append(e)
         m.append(row)
-    d = _series_det(m, degree)
+    if not m:
+        return TimesSeries.one(degree)
+    d = linalg.det(m, TimesSeries.invert, lambda s: s.constant_term() != 0)
     if normalize:
         c0 = d.constant_term()
         if c0 != 0:
             return d * (Fraction(1) / c0)
     return d
-
-
-def _series_det(m: list[list[TimesSeries]], degree: int) -> TimesSeries:
-    """Determinant over the power-series ring; unit pivots preferred."""
-    n = len(m)
-    if n == 0:
-        return TimesSeries.one(degree)
-    m = [row[:] for row in m]
-    sign = 1
-    acc = TimesSeries.one(degree)
-    for c in range(n):
-        p = next(
-            (i for i in range(c, n) if m[i][c].constant_term() != 0), None
-        )
-        if p is None:
-            # fall back to cofactor expansion along this column
-            return _cofactor_det(m, degree) * sign
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            sign = -sign
-        piv = m[c][c]
-        acc = acc * piv
-        inv = piv.invert()
-        for i in range(c + 1, n):
-            if m[i][c].is_zero:
-                continue
-            f = m[i][c] * inv
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return acc * sign
-
-
-def _cofactor_det(m: list[list[TimesSeries]], degree: int) -> TimesSeries:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = TimesSeries.zero(degree)
-    for j in range(n):
-        if m[0][j].is_zero:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        term = m[0][j] * _cofactor_det(minor, degree)
-        acc = acc + term * ((-1) ** j)
-    return acc
 
 
 KP_HIROTA_WEIGHT = 4  # weighted degree consumed by D1^4 + 3 D2^2 - 4 D1 D3

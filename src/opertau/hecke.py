@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
+from . import linalg
 from .errors import BadArgument, WindowOverflow
 from .series import Scalar, rat
 
@@ -234,6 +235,9 @@ class RatFunc:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
 
     def __eq__(self, other):
         other = RatFunc.from_scalar(other)
@@ -512,31 +516,6 @@ def verify_relations(win: TensorWindow) -> list[tuple[str, bool]]:
 # -- q-wedge quotient ----------------------------------------------------------
 
 
-def _rref_ratfunc(rows: list[list[RatFunc]]):
-    """Reduced row echelon over the rational-function field."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if not m[i][c].is_zero), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        inv = m[r][c].invert()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 class WedgeReducer:
     """Reduction modulo sum_i Ker(T_i - q) on a (restricted) window.
 
@@ -558,11 +537,9 @@ class WedgeReducer:
         rows = [
             [RatFunc.from_scalar(g.get(k, ZERO)) for k in basis] for g in gens
         ]
-        echelon, pivots = _rref_ratfunc(rows)
-        self.pivot_rows = {
-            pc: echelon[r] for r, pc in enumerate(pivots)
-        }
-        self.quotient_dim = len(basis) - len(pivots)
+        echelon, self.pivots = linalg.rref(rows, RatFunc.invert)
+        self.rows = [{j: x for j, x in enumerate(row) if x} for row in echelon]
+        self.quotient_dim = len(basis) - len(self.pivots)
 
     def _kernel_gens(self, i: int) -> list[QVector]:
         """Kernel basis of (T_i - q) via small per-block nullspaces."""
@@ -576,7 +553,6 @@ class WedgeReducer:
             blocks.setdefault(sig, []).append(key)
         gens = []
         for keys in blocks.values():
-            idx = {k: j for j, k in enumerate(keys)}
             rows = []
             for key in keys:
                 img = T(basis_vector(key))
@@ -585,21 +561,15 @@ class WedgeReducer:
                 rows.append(col)
             # kernel of the column map: transpose, then nullspace
             mat = [[rows[j][r] for j in range(len(keys))] for r in range(len(keys))]
-            red, pivots = _rref_ratfunc(mat)
-            free = [c for c in range(len(keys)) if c not in pivots]
-            for fc in free:
-                vec: QVector = {}
+            for kernel in linalg.nullspace(mat, inverse=RatFunc.invert, one=RatFunc(ONE)):
                 # clear denominators for readability: work over QPoly
-                entries: dict[int, RatFunc] = {fc: RatFunc.from_scalar(ONE)}
-                for r, pc in enumerate(pivots):
-                    entries[pc] = -red[r][fc]
                 den = ONE
-                for e in entries.values():
+                for e in kernel:
                     den = den * e.den
-                for c_idx, e in entries.items():
-                    coef = e.num * den.divexact(e.den)
-                    if not coef.is_zero:
-                        vec[keys[c_idx]] = coef
+                vec: QVector = {}
+                for key, e in zip(keys, kernel):
+                    if e:
+                        vec[key] = e.num * den.divexact(e.den)
                 gens.append(vec)
         return gens
 
@@ -610,20 +580,8 @@ class WedgeReducer:
             if k not in self.index:
                 raise WindowOverflow("vector leaves the reducer's window")
             work[self.index[k]] = RatFunc.from_scalar(c)
-        changed = True
-        while changed:
-            changed = False
-            for idx in sorted(work):
-                if idx in self.pivot_rows and not work[idx].is_zero:
-                    f = work[idx]
-                    row = self.pivot_rows[idx]
-                    for j, rv in enumerate(row):
-                        if not rv.is_zero:
-                            cur = work.get(j, RatFunc.from_scalar(0))
-                            work[j] = cur - f * rv
-                    changed = True
-            work = {j: c for j, c in work.items() if not c.is_zero}
-        return {self.basis[j]: c for j, c in work.items()}
+        rest = linalg.remainder(work, self.rows, self.pivots)
+        return {self.basis[j]: c for j, c in rest.items()}
 
 
 def q_antisymmetrize(win: TensorWindow, v: QVector,
@@ -652,30 +610,3 @@ def classical_antisymmetrize(v: QVector) -> dict:
             (-1) ** inv
         )
     return {k: c for k, c in out.items() if c != 0}
-
-
-def qpoly_rank(rows: list[list[QPoly]]) -> int:
-    """Generic rank over Q(q) by fraction-free Bareiss elimination."""
-    if not rows:
-        return 0
-    m = [row[:] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = ONE
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if not m[i][c].is_zero), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                num = m[r][c] * m[i][j] - m[i][c] * m[r][j]
-                m[i][j] = num.divexact(prev)
-            m[i][c] = ZERO
-        prev = m[r][c]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank

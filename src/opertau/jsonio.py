@@ -10,8 +10,8 @@ Toda pairs:  [["a", "p", "q"], ...]
 
 Every decoder raises :class:`ParseError` on a document of the wrong shape
 or with values its type rejects (a zero denominator, a term above the
-stated bound, a float or a boolean where an integer belongs), so bad input
-never escapes as a bare Python exception.
+stated bound, a float or a boolean where an integer or a rational string
+belongs), so bad input never escapes as a bare Python exception.
 """
 
 from __future__ import annotations
@@ -44,12 +44,17 @@ def _decoder(fn):
     return decode
 
 
-def _int(v) -> int:
-    """An integer field: a JSON integer that is not a boolean, or a decimal
-    string; a float or a boolean is rejected, never truncated."""
+def _exact(v):
+    """A JSON integer that is not a boolean, or a string; a float or a
+    boolean is rejected, never truncated."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise TypeError(f"expected an integer or a decimal string, got {v!r}")
-    return int(v)
+        raise TypeError(f"expected an integer or a string, got {v!r}")
+    return v
+
+
+def _int(v) -> int:
+    """An integer field: an integer or a decimal string (see ``_exact``)."""
+    return int(_exact(v))
 
 
 def fraction_to_json(c: Fraction) -> list[str]:
@@ -166,4 +171,4 @@ def frame_from_json(d: dict) -> GrassPoint:
 
 @_decoder
 def pairs_from_json(d: list) -> list[tuple[Fraction, Fraction, Fraction]]:
-    return [(Fraction(a), Fraction(p), Fraction(q)) for (a, p, q) in d]
+    return [tuple(Fraction(_exact(x)) for x in (a, p, q)) for (a, p, q) in d]

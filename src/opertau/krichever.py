@@ -31,6 +31,7 @@ from .oper import (
 )
 from .psido import (
     PsiDO,
+    _binom,
     _compose_coeff,
     commutator,
     compose,
@@ -41,13 +42,6 @@ from .psido import (
 from .series import TruncSeries
 
 Window = tuple[int, int]
-
-
-def _binom(j: int, s: int) -> int:
-    out = 1
-    for i in range(s):
-        out = out * (j - i) // (i + 1)
-    return out
 
 
 def dressing(S, depth: int | None = None) -> PsiDO:
@@ -382,7 +376,8 @@ def miura_to_flag(M: MiuraOper, window: Window) -> AffineFlagPoint:
     waves = wave_columns(S, window)  # raw columns; class of w_j spans the quotient
     _, G = gauge_reduce_with_matrix(bidiagonal_matrix(M))
     G0 = [[G[i][k].taylor_coeff0(0) for k in range(n)] for i in range(n)]
-    G0inv = _invert_unipotent(G0)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    G0inv = [row[n:] for row in linalg.rref([a + b for a, b in zip(G0, eye)])[0]]
     chain: list[GrassPoint] = []
     w0_cols = [
         {k + n: v for k, v in col.items() if k + n < hi}
@@ -403,17 +398,6 @@ def miura_to_flag(M: MiuraOper, window: Window) -> AffineFlagPoint:
     flag = AffineFlagPoint(n, tuple(chain))
     flag.validate()
     return flag
-
-
-def _invert_unipotent(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    # back-substitution against the unit diagonal, upper-triangular input
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            s = sum(m[i][k] * inv[k][j] for k in range(i + 1, j + 1))
-            inv[i][j] = -s
-    return inv
 
 
 def flag_to_grass(F: AffineFlagPoint) -> GrassPoint:

@@ -1,87 +1,137 @@
-"""Small dense exact linear algebra over Fraction.
+"""Small dense exact linear algebra: one Gauss-Jordan kernel for every ring.
 
-Matrices are lists of lists of Fraction.  Everything here is Gaussian
-elimination at desk scale; no pivot-growth heuristics are needed because
-all arithmetic is exact.
+Matrices are lists of rows.  The kernel is generic over the element ring
+(``Fraction``, the rational functions ``hecke.RatFunc``, the truncated
+``TimesSeries``); an element must support ``+``, ``-`` (binary and unary)
+and ``*``, and its truth value must be False exactly for zero.  The caller
+passes ``inverse`` (default ``1 / x``, for ``Fraction``).  ``rref``,
+``rank``, ``nullspace``, ``det`` and ``in_span`` are views of that kernel;
+``remainder`` reduces a sparse vector against its output.
+
+Over a field any nonzero entry is a pivot.  ``det`` also takes ``unit``,
+which says which entries may be pivots in a ring, and sets the columns
+without one aside; the block they leave, on the rows without a pivot, is
+expanded along its first column (Laplace), each minor through the kernel.
+A column zero on all of those rows makes the determinant 0 at once, which
+over a field is the whole fallback; over truncated series the block holds
+non-units (a tau outside the big cell), and the expansion stays exact.
+
+All arithmetic is exact, so no pivot-growth heuristics are needed; the row
+update skips zero entries of the pivot row, which keeps sparse frames and
+mostly-zero ``RatFunc`` matrices cheap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
-Matrix = list[list[Fraction]]
+Matrix = list[list]
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form; returns (matrix, pivot column indices)."""
-    m = [row[:] for row in m]
+def _reciprocal(x):
+    return Fraction(1) / x
+
+
+def _eliminate(m: list[list], inverse, unit, jordan: bool = True, stop: bool = False):
+    """Row-reduce ``m`` in place and return (pivot columns, pivot entries, row swaps).
+
+    Each pivot row is scaled to 1 at its pivot and the pivot column is
+    cleared below it (and above it when ``jordan``).  A column without a
+    ``unit`` entry in the rows not yet used as pivots is skipped; with
+    ``stop`` a column that is zero in all of those rows ends the reduction
+    and the result is None (a square ``m`` is then singular).
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
+    entries: list = []
+    swaps = 0
     for c in range(cols):
-        p = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
+        p = next((i for i in range(r, rows) if unit(m[i][c])), None)
+        if p is None:
+            if stop and not any(m[i][c] for i in range(r, rows)):
+                return None
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            swaps += 1
+        piv = m[r][c]
+        inv = inverse(piv)
+        row = m[r] = [x * inv if x else x for x in m[r]]
+        for i in range(0 if jordan else r + 1, rows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], row)]
+        pivots.append(c)
+        entries.append(piv)
+    return pivots, entries, swaps
+
+
+def rref(m: Matrix, inverse=_reciprocal) -> tuple[Matrix, list[int]]:
+    """Reduced row-echelon form over a field; returns (matrix, pivot column indices)."""
+    m = [row[:] for row in m]
+    pivots, _, _ = _eliminate(m, inverse, bool)
     return m, pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+def rank(m: Matrix, inverse=_reciprocal) -> int:
+    return len(_eliminate([row[:] for row in m], inverse, bool, jordan=False)[0])
 
 
-def nullspace(m: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel, echelonized, free variables set to 1."""
+def nullspace(m: Matrix, ncols: int | None = None, inverse=_reciprocal,
+              one=Fraction(1)) -> list[list]:
+    """Basis of the right kernel, echelonized, free variables set to ``one``."""
+    zero = one - one
     if not m:
         n = ncols or 0
-        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    red, pivots = rref(m)
+        return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    red, pivots = rref(m, inverse)
     cols = len(m[0])
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [zero] * cols
+        v[fc] = one
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
 
 
-def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish exact elimination."""
+def det(m: Matrix, inverse=_reciprocal, unit=bool):
+    """Determinant: eliminate on the unit pivots, then expand what is left."""
     n = len(m)
     if n == 0:
         return Fraction(1)
     m = [row[:] for row in m]
-    sign = 1
-    acc = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            sign = -sign
-        piv = m[c][c]
-        acc *= piv
-        inv = Fraction(1) / piv
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return acc * sign
+    out = _eliminate(m, inverse, unit, jordan=False, stop=True)
+    if out is None:
+        return m[0][0] - m[0][0]
+    pivots, factors, swaps = out
+    r = len(pivots)
+    if r < n:
+        # move the columns without a pivot behind the others: the matrix is
+        # then block triangular, and the block left over is theirs
+        rest = [c for c in range(n) if c not in pivots]
+        swaps += sum(p > c for p in pivots for c in rest)
+        factors.append(_laplace([[row[c] for c in rest] for row in m[r:]], inverse, unit))
+    d = reduce(mul, factors)
+    return -d if swaps % 2 else d
+
+
+def _laplace(sub: Matrix, inverse, unit):
+    """det(sub) expanded along its first column, each minor through ``det``."""
+    total = None
+    for i, row in enumerate(sub):
+        if row[0]:
+            t = row[0] * det([s[1:] for s in sub[:i] + sub[i + 1:]], inverse, unit)
+            t = -t if i % 2 else t
+            total = t if total is None else total + t
+    return sub[0][0] if total is None else total  # the column is zero
 
 
 def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
@@ -90,3 +140,17 @@ def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
         return all(x == 0 for x in target)
     base = rank(vectors)
     return rank(vectors + [target]) == base
+
+
+def remainder(v: dict, rows: list[dict], pivots: list[int]) -> dict:
+    """v minus, for each row in turn, v's entry at the row's pivot times the
+    row, all given sparse as {index: entry} with the rows 1 at their pivots.
+    Against a reduced echelon form this is the canonical representative of v
+    modulo the span of the rows.  Zero entries are dropped."""
+    v = dict(v)
+    for row, p in zip(rows, pivots):
+        f = v.get(p)
+        if f:
+            for k, b in row.items():
+                v[k] = v[k] - f * b if k in v else -(f * b)
+    return {k: x for k, x in v.items() if x}

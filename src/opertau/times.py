@@ -122,6 +122,9 @@ class TimesSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def coeff(self, key: Key) -> Fraction:
         key = (_trim(key[0]), _trim(key[1]))
         return self.terms.get(key, Fraction(0))

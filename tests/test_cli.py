@@ -76,6 +76,12 @@ class TestExitCodes:
         path = write_json(tmp_path, "tau.json", tau)
         assert run(["--json", "hirota-check", "--tau", path]) == 2
 
+    def test_toda_pairs_take_no_float_or_boolean(self, tmp_path, capsys):
+        for pair in (["1/2", 1.5, "3"], ["1/2", True, "3"]):
+            path = write_json(tmp_path, "pairs.json", [pair])
+            assert run(["--json", "--degree", "4", "toda-tau", "--pairs", path]) == 2
+            assert "malformed pairs JSON" in capsys.readouterr().err
+
     def test_bad_window(self, tmp_path, capsys):
         chi = tpoly({1: 1}, 12)
         path = write_json(tmp_path, "m.json", jsonio.miura_to_json(MiuraOper(2, (chi, -chi))))
@@ -121,6 +127,23 @@ class TestCommands:
         assert run(["--json", "hirota-check", "--tau", tpath]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["is_zero"] is True
+
+    def test_tau_reports_its_frame_window_and_degree(self, tmp_path, capsys):
+        W = GrassPoint((-4, 4), [{0: 1, -1: F(1, 2)}] + [{k: 1} for k in range(1, 4)])
+        fpath = write_json(tmp_path, "frame.json", jsonio.frame_to_json(W))
+        assert run(["--json", "--degree", "4", "tau", "--frame", fpath]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["window"], out["degree"], out["tau"]["bound"]) == ([-4, 4], 4, 4)
+        assert not {"order", "depth"} & set(out)
+        tpath = write_json(tmp_path, "tau.json", {"bound": 10, "terms": []})
+        assert run(["--json", "hirota-check", "--tau", tpath]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["checked_degree"] == 6
+        assert not {"order", "depth", "window", "degree"} & set(out)
+        path = write_json(tmp_path, "pairs.json", [["1/2", "2", "3"]])
+        assert run(["--json", "--degree", "4", "toda-tau", "--pairs", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["degree"] == 4 and not {"order", "depth", "window"} & set(out)
 
     def test_toda(self, tmp_path, capsys):
         path = write_json(tmp_path, "pairs.json", [["1/2", "2", "3"]])

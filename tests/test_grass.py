@@ -116,6 +116,23 @@ class TestTau:
         W = random_perturbed_frame(rng, (-5, 5))
         assert plucker(W, ()) == 1
 
+    @pytest.mark.parametrize("negative", [1, 2])
+    def test_determinant_oracle_outside_the_big_cell(self, rng, negative):
+        # pivots -1, ..., -negative replace 0, ..., negative - 1: every
+        # correlator entry of those columns has zero constant term, so the
+        # determinant has columns without a unit pivot
+        lo, hi = -8, 8
+        pivots = list(range(-negative, 0)) + list(range(negative, hi))
+        cols = [
+            {p: Fraction(1), **{k: Fraction(rng.randint(-2, 2)) for k in range(lo, p)}}
+            for p in pivots
+        ]
+        W = GrassPoint((lo, hi), cols)
+        assert W.charge == 0 and plucker(W, ()) == 0
+        td = tau_determinant(W, 8)
+        assert td == tau_schur(W, 8)
+        assert td.min_weight() == negative * negative  # lowest pi_lambda: square lambda
+
 
 class TestHirota:
     def test_tau_one(self):
