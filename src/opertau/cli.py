@@ -1,11 +1,13 @@
 """Command-line interface: deterministic JSON reports for every subcommand.
 
 Exit codes: 0 success, 2 usage or parse error, 3 precondition violation,
-4 internal invariant breach.  The operator and round-trip reports carry the
-truncation order, depth, window and degree; the others report only what
-they used: ``tau`` its frame's window and the degree, ``toda-tau`` the
-degree, ``hirota-check`` the degree it checked, ``hecke-verify`` the n, N
-and z-range of the tensor window it checked.
+4 internal invariant breach.  Each report carries only the settings its
+command used: ``root`` and ``bc-curve`` the order and depth, ``kdv-flow``
+and ``kdv-conserved`` the depth (and the order when they build the default
+operator), ``krichever`` the window and depth, ``main-check`` the window,
+degree and depth, ``tau`` its frame's window and the degree, ``toda-tau``
+the degree, ``hirota-check`` the degree it checked, ``hecke-verify`` the n,
+N and z-range of the tensor window it checked; ``miura`` uses none.
 """
 
 from __future__ import annotations
@@ -107,14 +109,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(args, report: dict) -> None:
-    report.setdefault("order", args.order)
-    report.setdefault("depth", args.depth)
-    report.setdefault("window", args.window)
-    report.setdefault("degree", args.degree)
-    _print(args, report)
-
-
 def _print(args, report: dict) -> None:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -148,48 +142,45 @@ def _default_oper(n: int, order: int):
     return ScalarOper(n, tuple(qs))
 
 
+def _flow_oper(args):
+    """The operator of a flow command, from its file or the default d^n + t,
+    with the settings used to get it."""
+    if args.file:
+        return jsonio.scalar_oper_from_json(_load(args.file)), {"depth": args.depth}
+    return _default_oper(args.n, args.order), {"order": args.order, "depth": args.depth}
+
+
 def _run(args) -> int:
     if args.command == "root":
         A = parse_operator(args.expression, order=args.order)
         R = nth_root(A, args.n)
         back = R**args.n
-        _emit(
-            args,
-            {
-                "root": jsonio.psido_to_json(R),
-                "text": print_operator(R),
-                "recomposition_matches": back.agrees(A),
-            },
-        )
+        _print(args, {
+            "root": jsonio.psido_to_json(R),
+            "text": print_operator(R),
+            "recomposition_matches": back.agrees(A),
+            "order": args.order,
+            "depth": args.depth,
+        })
         return 0
     if args.command == "miura":
         M = jsonio.miura_from_json(_load(args.file))
         S = miura_transform(M)
-        _emit(args, {"scalar_oper": jsonio.scalar_oper_to_json(S)})
+        _print(args, {"scalar_oper": jsonio.scalar_oper_to_json(S)})
         return 0
     if args.command == "kdv-flow":
-        S = (
-            jsonio.scalar_oper_from_json(_load(args.file))
-            if args.file
-            else _default_oper(args.n, args.order)
-        )
+        S, used = _flow_oper(args)
         rhs = lax_rhs(S, args.r)
-        _emit(
-            args,
-            {
-                "stationary": rhs.operator.is_zero,
-                "delta_q": [jsonio.series_to_json(s) for s in rhs.delta_q],
-            },
-        )
+        _print(args, {
+            "stationary": rhs.operator.is_zero,
+            "delta_q": [jsonio.series_to_json(s) for s in rhs.delta_q],
+            **used,
+        })
         return 0
     if args.command == "kdv-conserved":
-        S = (
-            jsonio.scalar_oper_from_json(_load(args.file))
-            if args.file
-            else _default_oper(args.n, args.order)
-        )
+        S, used = _flow_oper(args)
         rho = conserved_density(S, args.s_index)
-        _emit(args, {"density": jsonio.series_to_json(rho)})
+        _print(args, {"density": jsonio.series_to_json(rho), **used})
         return 0
     if args.command == "tau":
         W = jsonio.frame_from_json(_load(args.frame))
@@ -241,47 +232,41 @@ def _run(args) -> int:
         with open(args.q) as fh:
             Q = parse_operator(fh.read(), order=args.order)
         rel = bc_relation(P, Q, args.bound)
-        if rel is None:
-            _emit(args, {"relation": None})
-        else:
-            _emit(
-                args,
-                {
-                    "relation": [
-                        {"x": a, "y": b, "coef": jsonio.fraction_to_json(c)}
-                        for (a, b), c in rel.coeffs
-                    ],
-                    "text": repr(rel),
-                },
-            )
+        report = {"relation": None} if rel is None else {
+            "relation": [
+                {"x": a, "y": b, "coef": jsonio.fraction_to_json(c)}
+                for (a, b), c in rel.coeffs
+            ],
+            "text": repr(rel),
+        }
+        _print(args, {**report, "order": args.order, "depth": args.depth})
         return 0
     if args.command == "krichever":
         S = jsonio.scalar_oper_from_json(_load(args.oper))
         window = _window(args)
         W = krichever_point(S, window)
-        _emit(
-            args,
-            {
-                "frame": jsonio.frame_to_json(W),
-                "virtdim": W.virtdim,
-                "n_reduced": n_reduction_holds(W, S.n),
-            },
-        )
+        _print(args, {
+            "frame": jsonio.frame_to_json(W),
+            "virtdim": W.virtdim,
+            "n_reduced": n_reduction_holds(W, S.n),
+            "window": list(window),
+            "depth": args.depth,
+        })
         return 0
     if args.command == "main-check":
         M = jsonio.miura_from_json(_load(args.miura))
         window = _window(args)
         report = main_theorem_check(M, window, args.degree)
-        _emit(
-            args,
-            {
-                "frames_match": report.frames_match,
-                "hirota_zero": report.hirota_zero,
-                "reduction_constant": report.reduction_constant,
-                "annihilators_transported": report.annihilators_transported,
-                "all_passed": report.all_passed,
-            },
-        )
+        _print(args, {
+            "frames_match": report.frames_match,
+            "hirota_zero": report.hirota_zero,
+            "reduction_constant": report.reduction_constant,
+            "annihilators_transported": report.annihilators_transported,
+            "all_passed": report.all_passed,
+            "window": list(window),
+            "degree": args.degree,
+            "depth": args.depth,
+        })
         return 0 if report.all_passed else 4
     raise InvariantViolation(f"unhandled command {args.command}")
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import BadArgument
-from .times import TimesSeries, weight
+from .times import TimesSeries
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,7 @@ class AnnihilatorOp:
     def apply(self, tau: TimesSeries) -> TimesSeries:
         acc = TimesSeries.zero(self.verified_degree)
         for (k, e), c in self.coeffs:
-            term = tau
-            for _ in range(k):
-                term = term.derivative(1)
-            for _ in range(e):
-                term = term.mul_var(1)
-            acc = acc + term.truncate(self.verified_degree) * c
+            acc = acc + _image(tau, k, e).truncate(self.verified_degree) * c
         return acc
 
     def __repr__(self):
@@ -62,44 +57,27 @@ def annihilator_basis(
     if verified < 0:
         raise BadArgument("tau is not known deep enough for this order bound")
     monomials = [(k, e) for k in range(max_order + 1) for e in range(max_degree + 1)]
-    images = []
-    keys: set = set()
-    for (k, e) in monomials:
-        term = tau
-        for _ in range(k):
-            term = term.derivative(1)
-        for _ in range(e):
-            term = term.mul_var(1)
-        term = term.truncate(verified)
-        images.append(term)
-        keys.update(term.terms)
-    keys = sorted(keys, key=lambda x: (weight(x), x))
-    rows = [[img.terms.get(key, Fraction(0)) for img in images] for key in keys]
-    null = linalg.nullspace(rows, ncols=len(monomials))
-    basis = []
-    for vec in null:
-        coeffs = tuple(
-            (monomials[i], c) for i, c in enumerate(vec) if c != 0
-        )
-        basis.append(AnnihilatorOp(coeffs, verified))
-    return basis
+    images = [_image(tau, k, e).truncate(verified).terms for k, e in monomials]
+    return [
+        AnnihilatorOp(tuple((ke, c) for ke, c in zip(monomials, vec) if c != 0), verified)
+        for vec in linalg.relations(images)
+    ]
+
+
+def _image(tau: TimesSeries, k: int, e: int) -> TimesSeries:
+    """t_1^e (d/dt_1)^k tau."""
+    for _ in range(k):
+        tau = tau.derivative(1)
+    for _ in range(e):
+        tau = tau.mul_var(1)
+    return tau
 
 
 def same_annihilators(a: list[AnnihilatorOp], b: list[AnnihilatorOp]) -> bool:
     """Do two echelonized bases span the same operator space?"""
     if len(a) != len(b):
         return False
-    monos = sorted({ke for op in a + b for (ke, _) in op.coeffs})
-    idx = {ke: i for i, ke in enumerate(monos)}
-
-    def row(op):
-        r = [Fraction(0)] * len(monos)
-        for ke, c in op.coeffs:
-            r[idx[ke]] = c
-        return r
-
-    ra = [row(op) for op in a]
-    for op in b:
-        if not linalg.in_span(ra, row(op)):
-            return False
-    return True
+    coeffs = [dict(op.coeffs) for op in a + b]
+    monos = sorted({ke for c in coeffs for ke in c})
+    rows = [[c.get(ke, Fraction(0)) for ke in monos] for c in coeffs]
+    return linalg.rank(rows) == linalg.rank(rows[:len(a)])

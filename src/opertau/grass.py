@@ -36,7 +36,7 @@ class GrassPoint:
 
     __slots__ = ("window", "columns")
 
-    def __init__(self, window: Window, columns, reduce: bool = True):
+    def __init__(self, window: Window, columns):
         lo, hi = window
         if lo > 0 or hi < 0:
             raise BadArgument("window must contain 0")
@@ -47,7 +47,7 @@ class GrassPoint:
                 raise BadArgument("column support must lie inside the window")
             cols.append(col)
         self.window = (lo, hi)
-        self.columns = _echelon(cols, (lo, hi)) if reduce else [dict(c) for c in cols]
+        self.columns = _echelon(cols, (lo, hi))
 
     # -- basic data ---------------------------------------------------------
 
@@ -84,15 +84,19 @@ class GrassPoint:
     def _pivots(self) -> list[int]:
         return [max(c) for c in self.columns]
 
-    def shift(self, n: int) -> "GrassPoint":
-        """The point z^n * W, window-truncated."""
+    def shift_within(self, other: "GrassPoint", n: int) -> bool:
+        """Does z^n map this frame into ``other``, away from the window edge?
+
+        Columns whose shift tops out at or above hi are skipped: their images
+        land in the standard tail, which the window cannot see.  A shifted
+        column is only faithful on rows >= lo + n, so only those are compared.
+        """
         lo, hi = self.window
-        cols = []
-        for col in self.columns:
-            shifted = {k + n: v for k, v in col.items() if lo <= k + n < hi}
-            if shifted:
-                cols.append(shifted)
-        return GrassPoint(self.window, cols)
+        return all(
+            other.contains({k + n: v for k, v in col.items()}, ignore_below=lo + n)
+            for col in self.columns
+            if max(col) + n < hi
+        )
 
     def __repr__(self):
         lo, hi = self.window
@@ -144,7 +148,7 @@ def plucker(W: GrassPoint, lam: tuple[int, ...]) -> Fraction:
     return linalg.det(W.frame_matrix(rows))
 
 
-def tau_schur(W: GrassPoint, degree: int, normalize: bool = True) -> TimesSeries:
+def tau_schur(W: GrassPoint, degree: int) -> TimesSeries:
     """Pluecker-Schur tau: sum over |lambda| <= degree of pi_lambda s_lambda."""
     if W.charge != 0:
         raise ChargeMismatch("tau requires charge 0; shift the point first")
@@ -155,14 +159,12 @@ def tau_schur(W: GrassPoint, degree: int, normalize: bool = True) -> TimesSeries
             c = plucker(W, lam)
             if c != 0:
                 acc = acc + schur_polynomial(lam).truncate(degree) * c
-    if normalize:
-        if top == 0:
-            return acc
-        return acc * (Fraction(1) / top)
-    return acc
+    if top == 0:
+        return acc
+    return acc * (Fraction(1) / top)
 
 
-def tau_determinant(W: GrassPoint, degree: int, normalize: bool = True) -> TimesSeries:
+def tau_determinant(W: GrassPoint, degree: int) -> TimesSeries:
     """Correlator determinant oracle for the same tau function.
 
     Multiplies the frame by exp(sum t_k z^k) and takes the coefficient of
@@ -185,10 +187,9 @@ def tau_determinant(W: GrassPoint, degree: int, normalize: bool = True) -> Times
     if not m:
         return TimesSeries.one(degree)
     d = linalg.det(m, TimesSeries.invert, lambda s: s.constant_term() != 0)
-    if normalize:
-        c0 = d.constant_term()
-        if c0 != 0:
-            return d * (Fraction(1) / c0)
+    c0 = d.constant_term()
+    if c0 != 0:
+        return d * (Fraction(1) / c0)
     return d
 
 

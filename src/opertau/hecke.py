@@ -517,7 +517,7 @@ def verify_relations(win: TensorWindow) -> list[tuple[str, bool]]:
 
 
 class WedgeReducer:
-    """Reduction modulo sum_i Ker(T_i - q) on a (restricted) window.
+    """Reduction modulo sum_i Ker(T_i - q) on a window.
 
     The kernels are assembled blockwise (T_i preserves the other slots,
     the colors involved, and the total z-degree of the acted pair) and
@@ -525,10 +525,9 @@ class WedgeReducer:
     the canonical quotient representative.
     """
 
-    def __init__(self, win: TensorWindow, restrict: tuple[int, int] | None = None):
+    def __init__(self, win: TensorWindow):
         self.win = win
-        self.restrict = restrict
-        basis = win.basis(restrict)
+        basis = win.basis()
         self.basis = basis
         self.index = {k: i for i, k in enumerate(basis)}
         gens: list[QVector] = []
@@ -553,15 +552,14 @@ class WedgeReducer:
             blocks.setdefault(sig, []).append(key)
         gens = []
         for keys in blocks.values():
-            rows = []
+            images = []
             for key in keys:
                 img = T(basis_vector(key))
                 img[key] = img.get(key, ZERO) - Q
-                col = [RatFunc.from_scalar(img.get(k2, ZERO)) for k2 in keys]
-                rows.append(col)
-            # kernel of the column map: transpose, then nullspace
-            mat = [[rows[j][r] for j in range(len(keys))] for r in range(len(keys))]
-            for kernel in linalg.nullspace(mat, inverse=RatFunc.invert, one=RatFunc(ONE)):
+                # dense over the block's keys: their order is the row order,
+                # which sets the work of the elimination
+                images.append({k2: RatFunc.from_scalar(img.get(k2, ZERO)) for k2 in keys})
+            for kernel in linalg.relations(images, RatFunc.invert, RatFunc(ONE)):
                 # clear denominators for readability: work over QPoly
                 den = ONE
                 for e in kernel:
@@ -584,12 +582,11 @@ class WedgeReducer:
         return {self.basis[j]: c for j, c in rest.items()}
 
 
-def q_antisymmetrize(win: TensorWindow, v: QVector,
-                     restrict: tuple[int, int] | None = None) -> dict:
+def q_antisymmetrize(win: TensorWindow, v: QVector) -> dict:
     """Image of v in the q-wedge quotient, as a canonical representative."""
     if win.N == 1:
         return {k: RatFunc.from_scalar(c) for k, c in v.items()}
-    return WedgeReducer(win, restrict).reduce(v)
+    return WedgeReducer(win).reduce(v)
 
 
 def classical_antisymmetrize(v: QVector) -> dict:

@@ -39,7 +39,7 @@ from .psido import (
     nth_root,
     tail_depth,
 )
-from .series import TruncSeries
+from .series import TruncSeries, pole_floor
 
 Window = tuple[int, int]
 
@@ -116,13 +116,15 @@ def dressing_conjugate(K: PsiDO, n: int) -> PsiDO:
 def wave_columns(S, window: Window, method: str = "closure") -> list[dict[int, Fraction]]:
     """Raw wave columns, memoized on ScalarOper inputs."""
     if isinstance(S, ScalarOper):
-        cached = _wave_columns_cached(S, window, method)
+        cached = _wave_columns_cached(S, window, method, tail_depth(), pole_floor())
         return [dict(col) for col in cached]
     return _wave_columns(S, window, method)
 
 
 @lru_cache(maxsize=64)
-def _wave_columns_cached(S, window, method):
+def _wave_columns_cached(S, window, method, depth, floor):
+    """``_wave_columns`` keyed also on the tail depth and the pole floor in
+    force, which it reads."""
     return tuple(
         tuple(col.items()) for col in _wave_columns(S, window, method)
     )
@@ -204,19 +206,8 @@ def _symbol_column(K: PsiDO, j: int, lo: int) -> dict[int, Fraction]:
 
 
 def n_reduction_holds(W: GrassPoint, n: int) -> bool:
-    """Does z^n map the frame into the model, away from the window edge?
-
-    Columns whose shift tops out at or above hi are excluded: their images
-    land in the standard tail, which the window cannot see.
-    """
-    lo, hi = W.window
-    for col in W.columns:
-        if max(col) + n >= hi:
-            continue
-        shifted = {k + n: v for k, v in col.items()}
-        if not W.contains(shifted, ignore_below=lo + n):
-            return False
-    return True
+    """Does z^n map the frame into the model, away from the window edge?"""
+    return W.shift_within(W, n)
 
 
 # -- spectral relations -----------------------------------------------------------
@@ -241,8 +232,9 @@ class SpectralRelation:
 
     def evaluate(self, P: PsiDO, Q: PsiDO) -> PsiDO:
         acc = PsiDO.zero()
+        memo: dict = {}
         for (a, b), c in self.coeffs:
-            acc = acc + _monomial_op(P, Q, a, b) * c
+            acc = acc + _monomial(P, Q, a, b, memo) * c
         return acc
 
 
@@ -263,70 +255,42 @@ def bc_relation(P: PsiDO, Q: PsiDO, bound: int) -> SpectralRelation | None:
         if a * np_ + b * nq <= bound
     ]
     monos.sort(key=lambda ab: (ab[0] * np_ + ab[1] * nq, ab))
-    ops: list[PsiDO] = []
+    memo: dict = {}
     for degree in sorted({a * np_ + b * nq for a, b in monos}):
         batch = [ab for ab in monos if ab[0] * np_ + ab[1] * nq <= degree]
-        ops = [_monomial_op(P, Q, a, b) for a, b in batch]
-        rows = _coefficient_rows(ops)
-        null = linalg.nullspace(rows, ncols=len(ops))
+        ops = [_monomial(P, Q, a, b, memo) for a, b in batch]
+        null = linalg.relations(_trusted_coefficients(ops))
         if null:
-            vec = null[0]
-            coeffs = tuple(
-                (batch[i], c) for i, c in enumerate(vec) if c != 0
-            )
+            coeffs = tuple((ab, c) for ab, c in zip(batch, null[0]) if c != 0)
             lead = coeffs[-1][1]
-            coeffs = tuple((ab, c / lead) for ab, c in coeffs)
-            return SpectralRelation(coeffs)
+            return SpectralRelation(tuple((ab, c / lead) for ab, c in coeffs))
     return None
 
 
-def _monomial_op(P: PsiDO, Q: PsiDO, a: int, b: int) -> PsiDO:
-    term = None
-    for _ in range(a):
-        term = P if term is None else compose(term, P)
-    for _ in range(b):
-        term = Q if term is None else compose(term, Q)
-    if term is None:
-        order = min(
-            (s.order for s in list(P.terms.values()) + list(Q.terms.values())),
-            default=12,
-        )
-        term = PsiDO({0: TruncSeries.one(order)})
-    return term
+def _monomial(P: PsiDO, Q: PsiDO, a: int, b: int, memo: dict) -> PsiDO:
+    """P^a Q^b composed as ((P P) ... P) Q) ... Q, each from the monomial one
+    factor shorter; ``memo`` keeps them by (a, b)."""
+    if (a, b) not in memo:
+        if (a, b) == (0, 0):
+            order = min((s.order for s in [*P.terms.values(), *Q.terms.values()]), default=12)
+            memo[a, b] = PsiDO({0: TruncSeries.one(order)})
+        else:
+            prev, factor = ((a, b - 1), Q) if b else ((a - 1, 0), P)
+            memo[a, b] = factor if prev == (0, 0) else compose(_monomial(P, Q, *prev, memo), factor)
+    return memo[a, b]
 
 
-def _coefficient_rows(ops: list[PsiDO]) -> list[list[Fraction]]:
-    """Rows of the joint (d-order, t-exponent) coefficient matrix.
-
-    Only positions trusted by every operator are used, so a dependence is
-    exact on the shared window.
-    """
+def _trusted_coefficients(ops: list[PsiDO]) -> list[dict]:
+    """Each operator's coefficients {(d-order, t-exponent): value} at the
+    positions every operator trusts, so a dependence is exact on the shared
+    window."""
     depth = max((o.depth for o in ops if o.depth is not None), default=None)
-    keys = set()
-    windows = []
-    for o in ops:
-        t_orders = [s.order for s in o.terms.values()]
-        windows.append(min(t_orders) if t_orders else None)
-    order_cap = min((w for w in windows if w is not None), default=None)
-    for o in ops:
-        for m, c in o.terms.items():
-            if depth is not None and m < depth:
-                continue
-            for k, v in c.items():
-                if order_cap is None or k < order_cap:
-                    keys.add((m, k))
-    keys = sorted(keys)
-    rows = []
-    for (m, k) in keys:
-        row = []
-        for o in ops:
-            c = o.terms.get(m)
-            v = Fraction(0)
-            if c is not None and c.known(k) and k >= c.pole:
-                v = c.coeff(k)
-            row.append(v)
-        rows.append(row)
-    return rows
+    cap = min((s.order for o in ops for s in o.terms.values()), default=None)
+    return [
+        {(m, k): v for m, c in o.terms.items() if depth is None or m >= depth
+         for k, v in c.items() if cap is None or k < cap}
+        for o in ops
+    ]
 
 
 # -- flags ------------------------------------------------------------------------
@@ -358,13 +322,8 @@ class AffineFlagPoint:
                     raise BadArgument(f"W_{i} is not contained in W_{i+1}")
             if len(big.columns) - len(small.columns) != 1:
                 raise BadArgument("successive quotients must be one-dimensional")
-        lo, hi = window
-        for col in self.chain[n].columns:
-            if max(col) + n >= hi:
-                continue  # image tops out in the standard tail
-            shifted = {k + n: v for k, v in col.items()}
-            if not self.chain[0].contains(shifted, ignore_below=lo + n):
-                raise BadArgument("z^n W_n does not land in W_0")
+        if not self.chain[n].shift_within(self.chain[0], n):
+            raise BadArgument("z^n W_n does not land in W_0")
 
 
 def miura_to_flag(M: MiuraOper, window: Window) -> AffineFlagPoint:
@@ -403,13 +362,8 @@ def miura_to_flag(M: MiuraOper, window: Window) -> AffineFlagPoint:
 def flag_to_grass(F: AffineFlagPoint) -> GrassPoint:
     """Projection of the flag to its top member."""
     top = F.chain[F.n]
-    lo, hi = top.window
-    for col in top.columns:
-        if max(col) + F.n >= hi:
-            continue
-        shifted = {k + F.n: v for k, v in col.items()}
-        if not F.chain[0].contains(shifted, ignore_below=lo + F.n):
-            raise BadArgument("flag chain is inconsistent with its top member")
+    if not top.shift_within(F.chain[0], F.n):
+        raise BadArgument("flag chain is inconsistent with its top member")
     return top
 
 

@@ -5,8 +5,9 @@ Matrices are lists of rows.  The kernel is generic over the element ring
 ``TimesSeries``); an element must support ``+``, ``-`` (binary and unary)
 and ``*``, and its truth value must be False exactly for zero.  The caller
 passes ``inverse`` (default ``1 / x``, for ``Fraction``).  ``rref``,
-``rank``, ``nullspace``, ``det`` and ``in_span`` are views of that kernel;
-``remainder`` reduces a sparse vector against its output.
+``rank``, ``nullspace`` and ``det`` are views of that kernel;
+``relations`` lays sparse vectors out as the columns of a matrix and takes
+its nullspace, and ``remainder`` reduces a sparse vector against an echelon.
 
 Over a field any nonzero entry is a pivot.  ``det`` also takes ``unit``,
 which says which entries may be pivots in a ring, and sets the columns
@@ -134,12 +135,18 @@ def _laplace(sub: Matrix, inverse, unit):
     return sub[0][0] if total is None else total  # the column is zero
 
 
-def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
-    """Is target in the row span of vectors?"""
-    if not vectors:
-        return all(x == 0 for x in target)
-    base = rank(vectors)
-    return rank(vectors + [target]) == base
+def relations(vectors: list[dict], inverse=_reciprocal, one=Fraction(1)) -> list[list]:
+    """Basis of the linear relations sum_j c_j v_j = 0 among sparse vectors
+    {index: entry}: the nullspace of the matrix whose columns they are.
+
+    The rows are the indices in order of first appearance.  The reduced
+    echelon form depends only on the row space, so that order changes the
+    work, never the basis.
+    """
+    zero = one - one
+    rows = {k: None for v in vectors for k in v}
+    return nullspace([[v.get(k, zero) for v in vectors] for k in rows],
+                     len(vectors), inverse, one)
 
 
 def remainder(v: dict, rows: list[dict], pivots: list[int]) -> dict:

@@ -216,12 +216,6 @@ class TruncSeries:
         n = max(0, order - self.pole)
         return TruncSeries(min(self.pole, order), self.coeffs[:n], order)
 
-    def shift(self, k: int) -> "TruncSeries":
-        """Multiply by t^k."""
-        if self.pole + k < pole_floor():
-            raise PoleOverflow(f"shift pole {self.pole + k} below floor {pole_floor()}")
-        return TruncSeries(self.pole + k, self.coeffs, self.order + k)
-
     def derivative(self) -> "TruncSeries":
         cs = [(self.pole + k) * c for k, c in enumerate(self.coeffs)]
         return TruncSeries(self.pole - 1, cs, self.order - 1)

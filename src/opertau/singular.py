@@ -173,16 +173,13 @@ def singular_vector_search(
             basis = mod.slice_basis(d, wt)
             if not basis:
                 continue
-            rows = []
-            for g in raising_generators(d):
-                images = [mod.act(g, {w: Fraction(1)}) for w in basis]
-                keys = sorted({k for img in images for k in img})
-                for key in keys:
-                    rows.append([img.get(key, Fraction(0)) for img in images])
-            # no rows means every raising image vanished: whole slice is singular
-            for vec in linalg.nullspace(rows, ncols=len(basis)):
-                elem = {
-                    w: c for w, c in zip(basis, vec) if c != 0
-                }
-                found.append((d, wt, elem))
+            # each basis word's raising images, keyed by (generator, word);
+            # when all of them vanish the whole slice is singular
+            images = [
+                {(g, u): c for g in raising_generators(d)
+                 for u, c in mod.act(g, {w: Fraction(1)}).items()}
+                for w in basis
+            ]
+            for vec in linalg.relations(images):
+                found.append((d, wt, {w: c for w, c in zip(basis, vec) if c != 0}))
     return found

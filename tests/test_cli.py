@@ -6,7 +6,7 @@ import pytest
 from opertau import jsonio
 from opertau.cli import run
 from opertau.grass import GrassPoint
-from opertau.oper import MiuraOper
+from opertau.oper import MiuraOper, miura_transform
 from opertau.series import TruncSeries, tpoly
 
 F = Fraction
@@ -180,8 +180,6 @@ class TestCommands:
         chi = tpoly({1: 1}, 20)
         M = MiuraOper(2, (chi, -chi))
         mpath = write_json(tmp_path, "m.json", jsonio.miura_to_json(M))
-        from opertau.oper import miura_transform
-
         spath = write_json(
             tmp_path, "s.json", jsonio.scalar_oper_to_json(miura_transform(M))
         )
@@ -195,6 +193,34 @@ class TestCommands:
         ) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["all_passed"] is True
+
+    def test_reports_name_only_the_settings_used(self, tmp_path, capsys):
+        settings = {"order", "depth", "window", "degree"}
+
+        def used(argv):
+            assert run(["--json", *argv]) == 0
+            out = json.loads(capsys.readouterr().out)
+            return {k: out[k] for k in settings & set(out)}
+
+        chi = tpoly({1: 1}, 20)
+        M = MiuraOper(2, (chi, -chi))
+        mpath = write_json(tmp_path, "m.json", jsonio.miura_to_json(M))
+        spath = write_json(tmp_path, "s.json", jsonio.scalar_oper_to_json(miura_transform(M)))
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_text("d^2 - 2 t^-2")
+        q.write_text("d^3 - 3 t^-2 d + 3 t^-3")
+        assert used(["miura", mpath]) == {}
+        assert used(["--order", "10", "root", "--n", "2", "d^2 + t"]) == {"order": 10, "depth": -8}
+        assert used(["bc-curve", "--p", str(p), "--q", str(q), "--bound", "6"]) == {
+            "order": 12, "depth": -8}
+        assert used(["kdv-flow", "--r", "3"]) == {"order": 12, "depth": -8}
+        assert used(["kdv-flow", "--r", "3", spath]) == {"depth": -8}
+        assert used(["--depth", "-9", "kdv-conserved", "--s", "2"]) == {"order": 12, "depth": -9}
+        assert used(["kdv-conserved", "--s", "2", spath]) == {"depth": -8}
+        assert used(["--window=-6,6", "krichever", "--oper", spath]) == {
+            "window": [-6, 6], "depth": -8}
+        assert used(["--window=-6,6", "--degree", "6", "main-check", "--miura", mpath]) == {
+            "window": [-6, 6], "degree": 6, "depth": -8}
 
     def test_byte_stable(self, tmp_path, capsys):
         chi = tpoly({0: 1}, 12)

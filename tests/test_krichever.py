@@ -6,6 +6,7 @@ from opertau.errors import BadArgument, NotCommuting
 from opertau.grass import GrassPoint, standard_point, tau_schur
 from opertau.krichever import (
     _solve_linear_ode,
+    _wave_columns_cached,
     AffineFlagPoint,
     SpectralRelation,
     bc_relation,
@@ -18,9 +19,9 @@ from opertau.krichever import (
     n_reduction_holds,
     wave_columns,
 )
-from opertau.oper import MiuraOper, ScalarOper
+from opertau.oper import MiuraOper, ScalarOper, miura_transform
 from opertau.psido import PsiDO, commutator, compose, configure_tail_depth, nth_root
-from opertau.series import TruncSeries, tpoly
+from opertau.series import TruncSeries, configure_pole_floor, tpoly
 
 from .conftest import random_poly
 
@@ -127,6 +128,20 @@ class TestKricheverPoint:
             assert {k: v for k, v in d.items() if k >= floor} == {
                 k: v for k, v in c.items() if k >= floor
             }, j
+
+    def test_wave_cache_keys_on_tail_depth_and_pole_floor(self):
+        chi = tpoly({1: 1}, 20)
+        S = miura_transform(MiuraOper(2, (chi, -chi)))
+        _wave_columns_cached.cache_clear()
+        shallow = krichever_point(S, (-10, 12))
+        with configure_tail_depth(-12):
+            deep = krichever_point(S, (-10, 12))
+        _wave_columns_cached.cache_clear()
+        with configure_tail_depth(-12):
+            assert krichever_point(S, (-10, 12)) == deep != shallow
+            with configure_pole_floor(-24):
+                krichever_point(S, (-10, 12))
+        assert _wave_columns_cached.cache_info().misses == 2
 
     def test_negative_control_microdifferential(self):
         # a genuinely microdifferential perturbation breaks z^2-containment

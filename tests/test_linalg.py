@@ -1,7 +1,7 @@
 """Oracle tests of the elimination kernel in ``opertau.linalg``.
 
 Pluecker minors and ``tau_determinant`` share ``linalg.det``, and the frame
-echelon, the q-wedge quotient and the nullspaces share ``linalg.rref``, so a
+echelon, the q-wedge quotient and the relations share ``linalg.rref``, so a
 fault in the kernel could hide behind the tau-consistency oracle.  Here it is
 checked against definitions that use no elimination: the Leibniz permutation
 sum, the defining properties of a reduced echelon form, and the rank as the
@@ -159,6 +159,40 @@ class TestEchelon:
         for v in null:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
         assert not null or minor_rank(null, F(1)) == len(null)
+
+
+sparse_families = st.lists(st.dictionaries(st.integers(0, 5), small, max_size=5), max_size=5)
+
+
+def dense_columns(vectors):
+    """The vectors as the columns of a matrix over the sorted indices."""
+    keys = sorted({k for v in vectors for k in v})
+    return [[v.get(k, F(0)) for v in vectors] for k in keys]
+
+
+class TestRelations:
+    @settings(max_examples=120, deadline=None)
+    @given(sparse_families)
+    def test_relations_are_the_nullspace_of_the_dense_columns(self, vectors):
+        assert linalg.relations(vectors) == linalg.nullspace(dense_columns(vectors), len(vectors))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_index_order_does_not_change_the_relations(self, data):
+        vectors = data.draw(sparse_families)
+        shuffled = [dict(data.draw(st.permutations(list(v.items())))) for v in vectors]
+        assert linalg.relations(shuffled) == linalg.relations(vectors)
+
+    def test_empty_family_and_zero_vectors(self):
+        assert linalg.relations([]) == []
+        assert linalg.relations([{}, {3: F(0)}]) == [[1, 0], [0, 1]]
+        assert linalg.relations([{0: F(2)}, {}]) == [[0, 1]]
+
+    def test_ratfunc_relation(self):
+        one, q = RatFunc(ONE), RatFunc(Q)
+        vectors = [{0: one, 1: q}, {2: one}, {1: q * q, 0: q}]
+        got = linalg.relations(vectors, RatFunc.invert, one)
+        assert got == [[-q, RatFunc(QPoly()), one]]
 
 
 @st.composite
