@@ -10,6 +10,8 @@ z^k <-> v_{-k-1/2}.
 Tau functions are produced along two independent routes: the
 Pluecker-Schur sum over partitions and the correlator determinant against
 the complete homogeneous functions; agreement of the two is a test oracle.
+Each Pluecker coordinate is one small minor of the reduced echelon frame,
+pi_lambda = (-1)^(sum R + sum C) det A[R, C], not a full-window determinant.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .times import TimesSeries
 
 Column = dict[int, Fraction]
 Window = tuple[int, int]
+_ZERO = Fraction(0)
 
 
 def _clean(col: dict[int, Scalar]) -> Column:
@@ -58,11 +61,6 @@ class GrassPoint:
     @property
     def charge(self) -> int:
         return self.virtdim
-
-    def frame_matrix(self, rows: list[int]) -> list[list[Fraction]]:
-        return [
-            [col.get(r, Fraction(0)) for col in self.columns] for r in rows
-        ]
 
     def __eq__(self, other):
         if not isinstance(other, GrassPoint):
@@ -110,8 +108,7 @@ def _echelon(cols: list[Column], window: Window) -> list[Column]:
         raise DegenerateFrame("zero column in frame")
     lo, hi = window
     degrees = range(hi - 1, lo - 1, -1)
-    zero = Fraction(0)
-    red, pivots = linalg.rref([[c.get(k, zero) for k in degrees] for c in cols])
+    red, pivots = linalg.rref([[c.get(k, _ZERO) for k in degrees] for c in cols])
     if len(pivots) < len(cols):
         raise DegenerateFrame("linearly dependent frame columns")
     return [{k: v for k, v in zip(degrees, row) if v} for row in reversed(red)]
@@ -128,24 +125,27 @@ def standard_point(window: Window) -> GrassPoint:
     return GrassPoint(window, [{k: 1} for k in range(0, hi)])
 
 
-def _degree_set(lam: tuple[int, ...], count: int) -> list[int]:
-    """First `count` z-degrees k-1-lambda_k of the charge-0 diagram."""
-    out = []
-    for k in range(1, count + 1):
-        lk = lam[k - 1] if k <= len(lam) else 0
-        out.append(k - 1 - lk)
-    return out
-
-
 def plucker(W: GrassPoint, lam: tuple[int, ...]) -> Fraction:
-    """Pluecker coordinate of the charge-0 point at the partition lambda."""
+    """Pluecker coordinate of the charge-0 point at the partition lambda.
+
+    The frame's minor on the rows D: the z-degrees k - 1 - lambda_k,
+    k = 1..hi.  Each column is 1 at its pivot and 0 at the other pivots, so
+    the rows of D at pivots are unit rows, met in order; Laplace expansion
+    along them leaves pi_lambda = (-1)^(sum R + sum C) det A[R, C], with R
+    the positions in D that are not pivots and C the positions among the
+    pivots of those not in D.  On the big cell it is Giambelli's hook minor.
+    """
     lo, hi = W.window
     if W.charge != 0:
         raise ChargeMismatch("Pluecker coordinates need a charge-0 point")
     if lam and (len(lam) > hi or lam[0] > -lo):
         return Fraction(0)  # diagram leaves the window: model coordinate is 0
-    rows = _degree_set(lam, hi)
-    return linalg.det(W.frame_matrix(rows))
+    rows = [k - (lam[k] if k < len(lam) else 0) for k in range(hi)]
+    pivots = W._pivots()
+    R = [i for i, d in enumerate(rows) if d not in pivots]
+    C = [j for j, p in enumerate(pivots) if p not in rows]
+    d = linalg.det([[W.columns[j].get(rows[i], _ZERO) for j in C] for i in R])
+    return -d if (sum(R) + sum(C)) % 2 else d
 
 
 def tau_schur(W: GrassPoint, degree: int) -> TimesSeries:

@@ -85,9 +85,9 @@ def rank(m: Matrix, inverse=_reciprocal) -> int:
 
 
 def nullspace(m: Matrix, ncols: int | None = None, inverse=_reciprocal,
-              one=Fraction(1)) -> list[list]:
-    """Basis of the right kernel, echelonized, free variables set to ``one``."""
-    zero = one - one
+              one=Fraction(1), zero=None) -> list[list]:
+    """Basis of the right kernel, echelonized: free variables ``one``, else ``zero``."""
+    zero = one - one if zero is None else zero
     if not m:
         n = ncols or 0
         return [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -146,7 +146,7 @@ def relations(vectors: list[dict], inverse=_reciprocal, one=Fraction(1)) -> list
     zero = one - one
     rows = {k: None for v in vectors for k in v}
     return nullspace([[v.get(k, zero) for v in vectors] for k in rows],
-                     len(vectors), inverse, one)
+                     len(vectors), inverse, one, zero)
 
 
 def remainder(v: dict, rows: list[dict], pivots: list[int]) -> dict:

@@ -3,8 +3,12 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opertau import grass, linalg
 from opertau.errors import BadArgument, ChargeMismatch, DegenerateFrame
+from opertau.fock import partitions
 from opertau.grass import (
     GrassPoint,
     grass_window,
@@ -15,7 +19,10 @@ from opertau.grass import (
     tau_determinant,
     tau_schur,
 )
+from opertau.krichever import krichever_point
+from opertau.oper import MiuraOper, miura_transform
 from opertau.schur import h_complete, mn_character, schur_polynomial
+from opertau.series import TruncSeries
 from opertau.times import TimesSeries, weight
 
 
@@ -222,3 +229,67 @@ class TestLeibnizHirota:
     def test_short_bound_rejected(self):
         with pytest.raises(BadArgument):
             hirota_residual(TimesSeries.one(7), 4)
+
+
+# -- Pluecker coordinates: pivot-complement minor against the full determinant
+
+
+def reference_plucker(W, lam):
+    """The full hi x hi determinant of the frame on the rows k - 1 - lambda_k,
+    k = 1..hi (the definition that ``plucker`` reduces to one minor)."""
+    lo, hi = W.window
+    if W.charge != 0:
+        raise ChargeMismatch("Pluecker coordinates need a charge-0 point")
+    if lam and (len(lam) > hi or lam[0] > -lo):
+        return Fraction(0)
+    rows = [k - 1 - (lam[k - 1] if k <= len(lam) else 0) for k in range(1, hi + 1)]
+    return linalg.det([[col.get(r, Fraction(0)) for col in W.columns] for r in rows])
+
+
+@st.composite
+def charge_zero_points(draw):
+    """Charge-0 frames with any pivot set: the big cell, pivots below 0 and
+    gaps above 0, each column random below its pivot."""
+    lo = draw(st.integers(min_value=-6, max_value=0))
+    hi = draw(st.integers(min_value=0, max_value=6))
+    if draw(st.booleans()):
+        pivots = list(range(hi))
+    else:
+        pivots = sorted(draw(st.permutations(range(lo, hi)))[:hi])
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    cols = [
+        {p: Fraction(1), **{k: draw(entries) for k in range(lo, p) if draw(st.booleans())}}
+        for p in pivots
+    ]
+    return GrassPoint((lo, hi), cols)
+
+
+def roundtrip_point(seed, index, n, window=(-10, 12)):
+    """Krichever point of the Miura datum of the benchmark's roundtrip round:
+    n degree-2 chi_i at order 20 with nonzero coefficients in [-9, 9] and
+    distinct constant terms, drawn from Random(f"roundtrip/{seed}/{index}")."""
+    rng = random.Random(f"roundtrip/{seed}/{index}")
+    nonzero = [c for c in range(-9, 10) if c]
+    while True:
+        chi = tuple(
+            TruncSeries.from_dict({k: Fraction(rng.choice(nonzero)) for k in range(3)}, 20)
+            for _ in range(n)
+        )
+        if len({c.coeff(0) for c in chi}) == n:
+            return krichever_point(miura_transform(MiuraOper(n, chi)), window)
+
+
+class TestPluckerMinor:
+    @settings(max_examples=60, deadline=None)
+    @given(charge_zero_points())
+    def test_equals_full_determinant(self, W):
+        for n in range(9):
+            for lam in partitions(n):
+                assert plucker(W, lam) == reference_plucker(W, lam), lam
+
+    def test_tau_schur_on_roundtrip_points(self, monkeypatch):
+        points = [roundtrip_point(0, i, n) for i, n in enumerate([2, 2, 2, 3])]
+        taus = [tau_schur(W, 12) for W in points]
+        monkeypatch.setattr(grass, "plucker", reference_plucker)
+        assert taus == [tau_schur(W, 12) for W in points]
+        assert all(len(t.terms) > 1 for t in taus)
