@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import jsonio
 from .errors import InvariantViolation, OpertauError, ParseError
@@ -27,22 +28,32 @@ from .krichever import (
     main_theorem_check,
     n_reduction_holds,
 )
-from .oper import miura_transform
+from .oper import ScalarOper, miura_transform
 from .parser import parse_operator, print_operator
 from .psido import configure_tail_depth, nth_root
-from .series import configure_pole_floor
+from .series import TruncSeries, configure_pole_floor, tpoly
 from .toda import toda_tau
+
+
+def _int_from(lo: int):
+    """argparse type: an int no smaller than lo."""
+    def parse(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
+        return int(text)
+    parse.__name__ = "int"
+    return parse
 
 
 def _add_common(p, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    p.add_argument("--order", type=int, default=d(12), help="series truncation order")
+    p.add_argument("--order", type=_int_from(1), default=d(12), help="series truncation order")
     p.add_argument("--depth", type=int, default=d(-8), help="operator tail floor")
     p.add_argument(
         "--window", type=str, default=d("-8,8"),
         help="Grassmannian window as lo,hi (use --window=-8,8)",
     )
-    p.add_argument("--degree", type=int, default=d(8), help="weighted tau degree")
+    p.add_argument("--degree", type=_int_from(0), default=d(8), help="weighted tau degree")
     if suppress:
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                        help="machine-readable output")
@@ -71,12 +82,12 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("file", help="JSON MiuraOper")
 
     s = sub.add_parser("kdv-flow", help="Lax right-hand side of a flow")
-    s.add_argument("--n", type=int, default=2)
+    s.add_argument("--n", type=_int_from(1), default=2)
     s.add_argument("--r", type=int, required=True)
     s.add_argument("file", nargs="?", help="JSON ScalarOper; default d^n + t")
 
     s = sub.add_parser("kdv-conserved", help="conserved density res L^{s/n}")
-    s.add_argument("--n", type=int, default=2)
+    s.add_argument("--n", type=_int_from(1), default=2)
     s.add_argument("--s", type=int, required=True, dest="s_index")
     s.add_argument("file", nargs="?", help="JSON ScalarOper; default d^n + t")
 
@@ -134,9 +145,6 @@ def _window(args) -> tuple[int, int]:
 
 
 def _default_oper(n: int, order: int):
-    from .oper import ScalarOper
-    from .series import TruncSeries, tpoly
-
     qs = [TruncSeries.zero(order) for _ in range(n - 1)]
     qs.append(tpoly({1: -1}, order))  # L = d^n + t
     return ScalarOper(n, tuple(qs))
@@ -227,10 +235,7 @@ def _run(args) -> int:
             print(f"all_hold: {ok}")
         return 0 if ok else 4
     if args.command == "bc-curve":
-        with open(args.p) as fh:
-            P = parse_operator(fh.read(), order=args.order)
-        with open(args.q) as fh:
-            Q = parse_operator(fh.read(), order=args.order)
+        P, Q = (parse_operator(Path(f).read_text(), order=args.order) for f in (args.p, args.q))
         rel = bc_relation(P, Q, args.bound)
         report = {"relation": None} if rel is None else {
             "relation": [
@@ -263,6 +268,7 @@ def _run(args) -> int:
             "reduction_constant": report.reduction_constant,
             "annihilators_transported": report.annihilators_transported,
             "all_passed": report.all_passed,
+            **report.details,
             "window": list(window),
             "degree": args.degree,
             "depth": args.depth,

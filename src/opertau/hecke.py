@@ -27,6 +27,9 @@ X_{i+1} = q^{-1} T_i X_i T_i reproduces the slot shifts on the nose.
 
 Each relation acts as the identity on the slots it does not name, so
 ``verify_relations`` checks it on a window made of only those slots.
+
+The q-wedge quotient divides by sum_i Ker(T_i - q) = sum_i Im(T_i + 1)
+(the quadratic relation, q generic), so it solves no nullspace over Q(q).
 """
 
 from __future__ import annotations
@@ -516,60 +519,32 @@ def verify_relations(win: TensorWindow) -> list[tuple[str, bool]]:
 # -- q-wedge quotient ----------------------------------------------------------
 
 
+def _image_gens(win: TensorWindow, i: int) -> list[QVector]:
+    """(T_i + 1)e for each basis vector e of the window."""
+    T = win.hecke_T(i)
+    return [_combine((T(e), ONE), (e, ONE)) for e in map(basis_vector, win.basis())]
+
+
 class WedgeReducer:
     """Reduction modulo sum_i Ker(T_i - q) on a window.
 
-    The kernels are assembled blockwise (T_i preserves the other slots,
-    the colors involved, and the total z-degree of the acted pair) and
-    echelonized over Q(q); reduction of a vector against the echelon gives
-    the canonical quotient representative.
+    On the window (T_i + 1)(T_i - q) = 0, and for q generic the roots -1
+    and q differ, so Ker(T_i - q) = Im(T_i + 1): the images (T_i + 1)e of
+    the basis vectors span it.  They are echelonized together over Q(q);
+    reduction against the echelon gives the canonical representative.
     """
 
     def __init__(self, win: TensorWindow):
-        self.win = win
         basis = win.basis()
         self.basis = basis
         self.index = {k: i for i, k in enumerate(basis)}
-        gens: list[QVector] = []
-        for i in range(1, win.N):
-            gens.extend(self._kernel_gens(i))
+        gens = [g for i in range(1, win.N) for g in _image_gens(win, i)]
         rows = [
             [RatFunc.from_scalar(g.get(k, ZERO)) for k in basis] for g in gens
         ]
         echelon, self.pivots = linalg.rref(rows, RatFunc.invert)
         self.rows = [{j: x for j, x in enumerate(row) if x} for row in echelon]
         self.quotient_dim = len(basis) - len(self.pivots)
-
-    def _kernel_gens(self, i: int) -> list[QVector]:
-        """Kernel basis of (T_i - q) via small per-block nullspaces."""
-        win = self.win
-        T = win.hecke_T(i)
-        blocks: dict = {}
-        for key in self.basis:
-            (k, a), (l, b) = key[i - 1], key[i]
-            rest = key[: i - 1] + key[i + 1:]
-            sig = (rest, a + b, tuple(sorted((k, l))))
-            blocks.setdefault(sig, []).append(key)
-        gens = []
-        for keys in blocks.values():
-            images = []
-            for key in keys:
-                img = T(basis_vector(key))
-                img[key] = img.get(key, ZERO) - Q
-                # dense over the block's keys: their order is the row order,
-                # which sets the work of the elimination
-                images.append({k2: RatFunc.from_scalar(img.get(k2, ZERO)) for k2 in keys})
-            for kernel in linalg.relations(images, RatFunc.invert, RatFunc(ONE)):
-                # clear denominators for readability: work over QPoly
-                den = ONE
-                for e in kernel:
-                    den = den * e.den
-                vec: QVector = {}
-                for key, e in zip(keys, kernel):
-                    if e:
-                        vec[key] = e.num * den.divexact(e.den)
-                gens.append(vec)
-        return gens
 
     def reduce(self, v: QVector) -> dict:
         """Canonical representative as {key: RatFunc}."""
@@ -584,8 +559,6 @@ class WedgeReducer:
 
 def q_antisymmetrize(win: TensorWindow, v: QVector) -> dict:
     """Image of v in the q-wedge quotient, as a canonical representative."""
-    if win.N == 1:
-        return {k: RatFunc.from_scalar(c) for k, c in v.items()}
     return WedgeReducer(win).reduce(v)
 
 

@@ -330,8 +330,10 @@ def miura_to_flag(M: MiuraOper, window: Window) -> AffineFlagPoint:
     """Flag point of a Miura datum: W_n from the Krichever map, refined by
     the columns of the inverse gauge matrix at t = 0."""
     n = M.n
-    S = miura_transform(M)
     lo, hi = window
+    if hi < n:
+        raise WindowOverflow(f"the flag needs n = {n} wave columns, the window holds {hi}")
+    S = miura_transform(M)
     waves = wave_columns(S, window)  # raw columns; class of w_j spans the quotient
     _, G = gauge_reduce_with_matrix(bidiagonal_matrix(M))
     G0 = [[G[i][k].taylor_coeff0(0) for k in range(n)] for i in range(n)]

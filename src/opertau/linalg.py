@@ -5,9 +5,11 @@ Matrices are lists of rows.  The kernel is generic over the element ring
 ``TimesSeries``); an element must support ``+``, ``-`` (binary and unary)
 and ``*``, and its truth value must be False exactly for zero.  The caller
 passes ``inverse`` (default ``1 / x``, for ``Fraction``).  ``rref``,
-``rank``, ``nullspace`` and ``det`` are views of that kernel;
-``relations`` lays sparse vectors out as the columns of a matrix and takes
-its nullspace, and ``remainder`` reduces a sparse vector against an echelon.
+``rank`` and ``det`` are views of that kernel.  ``nullspace`` works over Q
+only, and so does ``relations``, which lays sparse vectors out as the
+columns of a matrix and takes its nullspace: no caller needs a kernel over
+another ring (the q-wedge spans its kernels as images, see ``hecke``).
+``remainder`` reduces a sparse vector against an echelon.
 
 Over a field any nonzero entry is a pivot.  ``det`` also takes ``unit``,
 which says which entries may be pivots in a ring, and sets the columns
@@ -29,6 +31,7 @@ from functools import reduce
 from operator import mul
 
 Matrix = list[list]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _reciprocal(x):
@@ -84,19 +87,15 @@ def rank(m: Matrix, inverse=_reciprocal) -> int:
     return len(_eliminate([row[:] for row in m], inverse, bool, jordan=False)[0])
 
 
-def nullspace(m: Matrix, ncols: int | None = None, inverse=_reciprocal,
-              one=Fraction(1), zero=None) -> list[list]:
-    """Basis of the right kernel, echelonized: free variables ``one``, else ``zero``."""
-    zero = one - one if zero is None else zero
-    if not m:
-        n = ncols or 0
-        return [[one if i == j else zero for j in range(n)] for i in range(n)]
-    red, pivots = rref(m, inverse)
-    cols = len(m[0])
+def nullspace(m: Matrix, ncols: int | None = None) -> list[list]:
+    """Basis of the right kernel over Q, echelonized: free variables 1, else 0.
+    ``ncols`` gives the width of a matrix without rows."""
+    cols = len(m[0]) if m else ncols or 0
+    red, pivots = rref(m)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
-        v = [zero] * cols
-        v[fc] = one
+        v = [_ZERO] * cols
+        v[fc] = _ONE
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
@@ -135,18 +134,16 @@ def _laplace(sub: Matrix, inverse, unit):
     return sub[0][0] if total is None else total  # the column is zero
 
 
-def relations(vectors: list[dict], inverse=_reciprocal, one=Fraction(1)) -> list[list]:
-    """Basis of the linear relations sum_j c_j v_j = 0 among sparse vectors
-    {index: entry}: the nullspace of the matrix whose columns they are.
+def relations(vectors: list[dict]) -> list[list]:
+    """Basis of the linear relations sum_j c_j v_j = 0 over Q among sparse
+    vectors {index: entry}: the nullspace of the matrix whose columns they are.
 
     The rows are the indices in order of first appearance.  The reduced
     echelon form depends only on the row space, so that order changes the
     work, never the basis.
     """
-    zero = one - one
     rows = {k: None for v in vectors for k in v}
-    return nullspace([[v.get(k, zero) for v in vectors] for k in rows],
-                     len(vectors), inverse, one, zero)
+    return nullspace([[v.get(k, _ZERO) for v in vectors] for k in rows], len(vectors))
 
 
 def remainder(v: dict, rows: list[dict], pivots: list[int]) -> dict:

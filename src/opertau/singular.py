@@ -70,12 +70,8 @@ class VacuumModule:
         first = word[0]
         if key <= (first[0], _RANK[first[1]]):
             return {(g,) + word: Fraction(1)}
-        out: Element = {}
         # g w0 rest = w0 (g rest) + [g, w0] rest
-        sub = self._act_gen(g, word[1:])
-        for w, c in sub.items():
-            for w2, c2 in self._act_gen(first, w).items():
-                out[w2] = out.get(w2, Fraction(0)) + c * c2
+        out = self.act(first, self._act_gen(g, word[1:]))
         coef, gen, central = _bracket(g, first)
         if central:
             c = central * self.level
@@ -115,17 +111,12 @@ class VacuumModule:
             for letter in ("e", "h", "f")
         ]
         gens.sort(key=lambda g: (g[0], _RANK[g[1]]))
-        out = []
-        for r in range(1, depth + 1):
-            for combo in combinations_with_replacement(gens, r):
-                if -sum(m for (m, _) in combo) != depth:
-                    continue
-                if weight is not None and sum(
-                    _LETTERS[x] for (_, x) in combo
-                ) != weight:
-                    continue
-                out.append(tuple(combo))
-        return out
+        return [
+            combo
+            for r in range(1, depth + 1)
+            for combo in combinations_with_replacement(gens, r)
+            if self.depth(combo) == depth and weight in (None, self.weight(combo))
+        ]
 
     # -- Shapovalov form ------------------------------------------------------
 

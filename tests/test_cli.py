@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from opertau.oper import MiuraOper, miura_transform
 from opertau.series import TruncSeries, tpoly
 
 F = Fraction
+MIURA_N2 = str(Path(__file__).parent / "data" / "miura_n2.json")
 
 
 def write_json(tmp_path, name, payload):
@@ -86,6 +88,28 @@ class TestExitCodes:
         chi = tpoly({1: 1}, 12)
         path = write_json(tmp_path, "m.json", jsonio.miura_to_json(MiuraOper(2, (chi, -chi))))
         assert run(["--window=-6", "main-check", "--miura", path]) == 2
+
+    @pytest.mark.parametrize("window", ["--window=0,1", "--window=-1,1"])
+    def test_window_too_small_for_the_flag(self, window, capsys):
+        assert run([window, "main-check", "--miura", MIURA_N2]) == 3
+        assert "WindowOverflow" in capsys.readouterr().err
+
+    def test_negative_degree_main_check(self, capsys):
+        assert run(["--degree", "-5", "main-check", "--miura", MIURA_N2]) == 2
+        assert "--degree" in capsys.readouterr().err
+
+    def test_negative_degree_toda(self, tmp_path, capsys):
+        path = write_json(tmp_path, "pairs.json", [["1", "1", "2"]])
+        assert run(["--degree", "-3", "toda-tau", "--pairs", path]) == 2
+        assert "--degree" in capsys.readouterr().err
+
+    def test_negative_order_kdv_flow(self, capsys):
+        assert run(["--order", "-3", "kdv-flow", "--r", "3"]) == 2
+        assert "--order" in capsys.readouterr().err
+
+    def test_zero_n_kdv_conserved(self, capsys):
+        assert run(["kdv-conserved", "--s", "1", "--n", "0"]) == 2
+        assert "--n" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -193,6 +217,8 @@ class TestCommands:
         ) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["all_passed"] is True
+        assert (out["n"], out["tau_constant_term"]) == (2, "1")
+        assert isinstance(out["annihilator_count"], int)
 
     def test_reports_name_only_the_settings_used(self, tmp_path, capsys):
         settings = {"order", "depth", "window", "degree"}

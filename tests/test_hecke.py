@@ -15,6 +15,7 @@ from opertau.hecke import (
     RatFunc,
     TensorWindow,
     WedgeReducer,
+    _image_gens,
     _poly_gcd,
     basis_vector,
     classical_antisymmetrize,
@@ -236,6 +237,34 @@ class TestQWedge:
         win = TensorWindow(2, 1, (0, 1))
         v = basis_vector(((1, 0),))
         assert q_antisymmetrize(win, v) == {((1, 0),): RatFunc.from_scalar(1)}
+
+    def test_n1_rejects_a_key_outside_the_window(self):
+        with pytest.raises(WindowOverflow):
+            q_antisymmetrize(TensorWindow(2, 1, (0, 1)), {((1, 5),): ONE})
+
+    @pytest.mark.parametrize("n, N, zrange", [
+        (2, 2, (0, 1)), (2, 3, (0, 1)), (3, 2, (0, 1)), (2, 2, (-1, 1)),
+    ])
+    def test_image_gens_span_the_kernel(self, n, N, zrange):
+        # (T_i + 1)e lies in Ker(T_i - q), and the images have the rank of
+        # that kernel over Q(q), so they span it
+        win = TensorWindow(n, N, zrange)
+        basis = win.basis()
+
+        def dense(vectors):
+            return [[RatFunc.from_scalar(v.get(k, QPoly())) for k in basis] for v in vectors]
+
+        for i in range(1, N):
+            T = win.hecke_T(i)
+
+            def t_minus_q(v):
+                return vec_sub(T(v), {k: Q * c for k, c in v.items()})
+
+            gens = _image_gens(win, i)
+            assert all(not t_minus_q(g) for g in gens)
+            image = [t_minus_q(e) for e in map(basis_vector, basis)]
+            kernel_dim = len(basis) - linalg.rank(dense(image), RatFunc.invert)
+            assert linalg.rank(dense(gens), RatFunc.invert) == kernel_dim > 0
 
     def test_window4_quotient_dimension(self):
         # window dimension 4, two factors: quotient dimension C(4,2) = 6

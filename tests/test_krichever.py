@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from opertau.errors import BadArgument, NotCommuting
+from opertau.errors import BadArgument, NotCommuting, WindowOverflow
 from opertau.grass import GrassPoint, standard_point, tau_schur
 from opertau.krichever import (
     _solve_linear_ode,
@@ -229,6 +229,12 @@ class TestFlags:
         flag = miura_to_flag(M, (-6, 6))
         flag.validate()
         assert [len(W.columns) for W in flag.chain] == [3, 4, 5, 6]
+
+    @pytest.mark.parametrize("window", [(0, 1), (-1, 1)])
+    def test_window_below_n_columns_is_rejected(self, window):
+        z = TruncSeries.zero(20)
+        with pytest.raises(WindowOverflow):
+            miura_to_flag(MiuraOper(2, (z, z)), window)
 
     def test_projection_matches_krichever(self, rng):
         from opertau.oper import miura_transform

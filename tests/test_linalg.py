@@ -188,12 +188,6 @@ class TestRelations:
         assert linalg.relations([{}, {3: F(0)}]) == [[1, 0], [0, 1]]
         assert linalg.relations([{0: F(2)}, {}]) == [[0, 1]]
 
-    def test_ratfunc_relation(self):
-        one, q = RatFunc(ONE), RatFunc(Q)
-        vectors = [{0: one, 1: q}, {2: one}, {1: q * q, 0: q}]
-        got = linalg.relations(vectors, RatFunc.invert, one)
-        assert got == [[-q, RatFunc(QPoly()), one]]
-
 
 @st.composite
 def frames(draw):
