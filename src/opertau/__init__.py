@@ -11,7 +11,6 @@ from .errors import OpertauError
 from .series import (
     DualSeries,
     TruncSeries,
-    configure_pole_floor,
     tpoly,
 )
 from .times import TimesSeries
@@ -44,7 +43,6 @@ from .kdv import (
 from .fock import MayaState, clifford_apply, h_action
 from .grass import (
     GrassPoint,
-    grass_window,
     hirota_residual,
     tau_determinant,
     tau_schur,
@@ -93,13 +91,11 @@ __all__ = [
     "commutator",
     "companion_matrix",
     "compose",
-    "configure_pole_floor",
     "configure_tail_depth",
     "conserved_density",
     "dressing",
     "flag_to_grass",
     "gauge_reduce",
-    "grass_window",
     "h_action",
     "h_complete",
     "hirota_residual",

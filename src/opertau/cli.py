@@ -31,7 +31,7 @@ from .krichever import (
 from .oper import ScalarOper, miura_transform
 from .parser import parse_operator, print_operator
 from .psido import configure_tail_depth, nth_root
-from .series import TruncSeries, configure_pole_floor, tpoly
+from .series import TruncSeries, tpoly
 from .toda import toda_tau
 
 
@@ -260,8 +260,7 @@ def _run(args) -> int:
         return 0
     if args.command == "main-check":
         M = jsonio.miura_from_json(_load(args.miura))
-        window = _window(args)
-        report = main_theorem_check(M, window, args.degree)
+        report = main_theorem_check(M, _window(args), args.degree)
         _print(args, {
             "frames_match": report.frames_match,
             "hirota_zero": report.hirota_zero,
@@ -269,8 +268,8 @@ def _run(args) -> int:
             "annihilators_transported": report.annihilators_transported,
             "all_passed": report.all_passed,
             **report.details,
-            "window": list(window),
-            "degree": args.degree,
+            "window": list(report.window),
+            "degree": report.degree,
             "depth": args.depth,
         })
         return 0 if report.all_passed else 4
@@ -284,9 +283,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        with configure_pole_floor(min(-16, args.depth * 2)):
-            with configure_tail_depth(args.depth):
-                return _run(args)
+        with configure_tail_depth(args.depth):
+            return _run(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

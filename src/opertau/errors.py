@@ -5,10 +5,6 @@ class OpertauError(Exception):
     """Base class for every error raised by this package."""
 
 
-class PoleOverflow(OpertauError):
-    """A Laurent-series operation needed a pole below the configured floor."""
-
-
 class NotInvertible(OpertauError):
     """Inversion of a series or operator with no invertible leading part."""
 

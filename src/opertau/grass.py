@@ -58,10 +58,6 @@ class GrassPoint:
     def virtdim(self) -> int:
         return len(self.columns) - self.window[1]
 
-    @property
-    def charge(self) -> int:
-        return self.virtdim
-
     def __eq__(self, other):
         if not isinstance(other, GrassPoint):
             return NotImplemented
@@ -114,11 +110,6 @@ def _echelon(cols: list[Column], window: Window) -> list[Column]:
     return [{k: v for k, v in zip(degrees, row) if v} for row in reversed(red)]
 
 
-def grass_window(columns, window: Window) -> GrassPoint:
-    """Echelonized Grassmannian point from raw Laurent columns."""
-    return GrassPoint(window, columns)
-
-
 def standard_point(window: Window) -> GrassPoint:
     """H_+ = span{z^k : k >= 0} in the given window."""
     lo, hi = window
@@ -136,7 +127,7 @@ def plucker(W: GrassPoint, lam: tuple[int, ...]) -> Fraction:
     pivots of those not in D.  On the big cell it is Giambelli's hook minor.
     """
     lo, hi = W.window
-    if W.charge != 0:
+    if W.virtdim != 0:
         raise ChargeMismatch("Pluecker coordinates need a charge-0 point")
     if lam and (len(lam) > hi or lam[0] > -lo):
         return Fraction(0)  # diagram leaves the window: model coordinate is 0
@@ -150,7 +141,7 @@ def plucker(W: GrassPoint, lam: tuple[int, ...]) -> Fraction:
 
 def tau_schur(W: GrassPoint, degree: int) -> TimesSeries:
     """Pluecker-Schur tau: sum over |lambda| <= degree of pi_lambda s_lambda."""
-    if W.charge != 0:
+    if W.virtdim != 0:
         raise ChargeMismatch("tau requires charge 0; shift the point first")
     acc = TimesSeries.zero(degree)
     top = plucker(W, ())
@@ -170,7 +161,7 @@ def tau_determinant(W: GrassPoint, degree: int) -> TimesSeries:
     Multiplies the frame by exp(sum t_k z^k) and takes the coefficient of
     the vacuum wedge: the determinant of rows [0, hi) of the evolved frame.
     """
-    if W.charge != 0:
+    if W.virtdim != 0:
         raise ChargeMismatch("tau requires charge 0; shift the point first")
     lo, hi = W.window
     hs = [h_complete(r).truncate(degree) for r in range(hi - lo)]
@@ -212,6 +203,8 @@ def hirota_residual(tau: TimesSeries, degree: int) -> TimesSeries:
     cut to ``degree`` before it is multiplied (each derivative of a tau
     known through degree + 4 is known that far).
     """
+    if degree < 0:
+        raise BadArgument(f"the Hirota residual needs a degree >= 0, got {degree}")
     if tau.bound is not None and tau.bound < degree + KP_HIROTA_WEIGHT:
         raise BadArgument(
             f"tau must be known through weighted degree {degree + KP_HIROTA_WEIGHT}"

@@ -11,12 +11,14 @@ Toda pairs:  [["a", "p", "q"], ...]
 Every decoder raises :class:`ParseError` on a document of the wrong shape
 or with values its type rejects (a zero denominator, a term above the
 stated bound, a float or a boolean where an integer or a rational string
-belongs), so bad input never escapes as a bare Python exception.
+belongs, a time name other than t<k> or t'<k> with k >= 1, a repeated
+monomial), so bad input never escapes as a bare Python exception.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -93,6 +95,9 @@ def times_to_json(s: TimesSeries) -> dict:
     return {"bound": s.bound, "terms": terms}
 
 
+_TIME_NAME = re.compile(r"t(')?([1-9][0-9]*)")
+
+
 @_decoder
 def times_from_json(d: dict) -> TimesSeries:
     terms = {}
@@ -100,16 +105,18 @@ def times_from_json(d: dict) -> TimesSeries:
         e: dict[int, int] = {}
         p: dict[int, int] = {}
         for name, v in item["exps"].items():
-            if name.startswith("t'"):
-                p[int(name[2:])] = _int(v)
-            else:
-                e[int(name[1:])] = _int(v)
-        ne = max(e) if e else 0
-        np_ = max(p) if p else 0
+            match = _TIME_NAME.fullmatch(name)
+            if match is None:
+                raise ValueError(f"time name must be t<k> or t'<k> with k >= 1, got {name!r}")
+            exponent = _int(v)
+            if exponent:
+                (p if match[1] else e)[int(match[2])] = exponent
         key = (
-            tuple(e.get(i + 1, 0) for i in range(ne)),
-            tuple(p.get(i + 1, 0) for i in range(np_)),
+            tuple(e.get(i + 1, 0) for i in range(max(e, default=0))),
+            tuple(p.get(i + 1, 0) for i in range(max(p, default=0))),
         )
+        if key in terms:
+            raise ValueError(f"repeated monomial {item['exps']}")
         terms[key] = fraction_from_json(item["coef"])
     bound = d.get("bound")
     return TimesSeries(terms, None if bound is None else _int(bound))

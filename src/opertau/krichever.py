@@ -39,7 +39,7 @@ from .psido import (
     nth_root,
     tail_depth,
 )
-from .series import TruncSeries, pole_floor
+from .series import TruncSeries
 
 Window = tuple[int, int]
 
@@ -113,41 +113,35 @@ def dressing_conjugate(K: PsiDO, n: int) -> PsiDO:
     return compose(compose(K, PsiDO.d(n, order)), invert_monic0(K))
 
 
-def wave_columns(S, window: Window, method: str = "closure") -> list[dict[int, Fraction]]:
+def wave_columns(S, window: Window) -> list[dict[int, Fraction]]:
     """Raw wave columns, memoized on ScalarOper inputs."""
     if isinstance(S, ScalarOper):
-        cached = _wave_columns_cached(S, window, method, tail_depth(), pole_floor())
-        return [dict(col) for col in cached]
-    return _wave_columns(S, window, method)
+        return [dict(col) for col in _wave_columns_cached(S, window, tail_depth())]
+    return _wave_columns(S, window)
 
 
 @lru_cache(maxsize=64)
-def _wave_columns_cached(S, window, method, depth, floor):
-    """``_wave_columns`` keyed also on the tail depth and the pole floor in
-    force, which it reads."""
-    return tuple(
-        tuple(col.items()) for col in _wave_columns(S, window, method)
-    )
+def _wave_columns_cached(S, window, depth):
+    """``_wave_columns`` keyed also on the tail depth in force, which it reads."""
+    return tuple(tuple(col.items()) for col in _wave_columns(S, window))
 
 
-def _wave_columns(S, window: Window, method: str = "closure") -> list[dict[int, Fraction]]:
+def _wave_columns(S, window: Window) -> list[dict[int, Fraction]]:
     """Raw (un-echelonized) wave-function columns w_0, w_1, ... on a window.
 
-    method "closure" (default) computes columns j < n from the dressing
-    symbols and extends by the exact n-reduction recursion; it requires a
-    differential ScalarOper input and produces a frame that satisfies
+    The input type picks the route.  A differential ScalarOper takes the
+    closure recursion: columns j < n come from the dressing symbols and the
+    exact n-reduction recursion extends them, so the frame satisfies
     z^n W inside W exactly.  Column j is faithful to the untruncated wave
     data on rows >= lo - 1 + j; below that the model completes it in the
-    unique n-reduced way.  method "direct" reads every column from the
-    dressing symbol (any monic PsiDO input) and needs a depth covering
-    hi - 1 - lo to fill the window.
+    unique n-reduced way.  Any other monic PsiDO reads every column from
+    its dressing symbol and needs a depth covering hi - 1 - lo to fill the
+    window.
     """
     lo, hi = window
     if lo > 0 or hi <= 0:
         raise BadArgument("window must contain 0")
-    if method == "closure":
-        if not isinstance(S, ScalarOper):
-            raise BadArgument("closure method needs a differential ScalarOper")
+    if isinstance(S, ScalarOper):
         n = S.n
         need_order = hi + 2
         if min(s.order for s in S.q) < need_order:
@@ -171,18 +165,15 @@ def _wave_columns(S, window: Window, method: str = "closure") -> list[dict[int, 
                         for k, v in cols[j - i - s].items():
                             base[k] = base.get(k, Fraction(0)) + c * v
             cols.append({k: v for k, v in base.items() if v != 0})
-    elif method == "direct":
-        L = S.to_psido() if isinstance(S, ScalarOper) else S
-        K = dressing(L, depth=lo - hi)
-        cols = [_symbol_column(K, j, lo) for j in range(hi)]
     else:
-        raise BadArgument(f"unknown method {method!r}")
+        K = dressing(S, depth=lo - hi)
+        cols = [_symbol_column(K, j, lo) for j in range(hi)]
     return [{k: v for k, v in col.items() if lo <= k < hi} for col in cols]
 
 
-def krichever_point(S, window: Window, method: str = "closure") -> GrassPoint:
+def krichever_point(S, window: Window) -> GrassPoint:
     """The echelonized window frame of the wave space of a monic operator."""
-    return GrassPoint(window, wave_columns(S, window, method))
+    return GrassPoint(window, wave_columns(S, window))
 
 
 def _symbol_column(K: PsiDO, j: int, lo: int) -> dict[int, Fraction]:
@@ -407,7 +398,8 @@ def main_theorem_check(
     (c) d log tau / d t_{kn} is constant through the degree (n-reduction);
     (d) the annihilator basis of the flag-side tau (two-sided correlator
         restricted to t' = 0, i.e. the determinant route) contains the
-        Grassmannian-side (Pluecker route) annihilators.
+        Grassmannian-side (Pluecker route) annihilators, on the window and
+        degree that ``details`` reports.
 
     A corrupted flag may be passed in to exercise the negative control.
     """
@@ -450,5 +442,7 @@ def main_theorem_check(
             "n": n,
             "tau_constant_term": str(tau.constant_term()),
             "annihilator_count": len(a_grass),
+            "annihilator_window": list(small_window),
+            "annihilator_degree": small_degree,
         },
     )

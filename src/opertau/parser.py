@@ -114,9 +114,8 @@ class _Parser:
                 break
             if tok.text == "*":
                 self.take()
-                tok = self.peek()
-                if tok is None:
-                    raise ParseError("dangling '*'", 0, 0)
+                if self.peek() is None:
+                    raise ParseError("dangling '*'", tok.line, tok.col)
             acc = compose(acc, self.factor())
         return acc * sign if sign < 0 else acc
 

@@ -110,15 +110,6 @@ class PsiDO:
     def top(self) -> int | None:
         return max(self.terms) if self.terms else None
 
-    def coeff(self, i: int):
-        """Coefficient of d^i; raises TailOverflow below the trusted depth."""
-        if self.depth is not None and i < self.depth:
-            raise TailOverflow(f"order {i} below trusted depth {self.depth}")
-        c = self.terms.get(i)
-        if c is not None:
-            return c
-        return None  # exact zero within the trusted window
-
     def is_differential(self) -> bool:
         return all(i >= 0 for i in self.terms)
 

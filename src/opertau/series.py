@@ -12,41 +12,14 @@ anywhere in this package.
 
 from __future__ import annotations
 
-import contextvars
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import NotIntegrable, NotInvertible, PoleOverflow
+from .errors import NotIntegrable, NotInvertible
 
 Scalar = Union[int, Fraction]
 
-DEFAULT_POLE_FLOOR = -16
 DEFAULT_ORDER = 12
-
-_pole_floor: contextvars.ContextVar[int] = contextvars.ContextVar(
-    "pole_floor", default=DEFAULT_POLE_FLOOR
-)
-
-
-def pole_floor() -> int:
-    """The deepest pole order any series operation may produce."""
-    return _pole_floor.get()
-
-
-class configure_pole_floor:
-    """Context manager overriding the pole floor for one computation."""
-
-    def __init__(self, floor: int):
-        self.floor = floor
-        self._token = None
-
-    def __enter__(self):
-        self._token = _pole_floor.set(self.floor)
-        return self
-
-    def __exit__(self, *exc):
-        _pole_floor.reset(self._token)
-        return False
 
 
 def rat(x: Scalar) -> Fraction:
@@ -194,8 +167,6 @@ class TruncSeries:
             # product window still shrinks with the truncated factor
             return TruncSeries.zero(min(self.order + other.pole, other.order + self.pole))
         pole = self.pole + other.pole
-        if pole < pole_floor():
-            raise PoleOverflow(f"product pole {pole} below floor {pole_floor()}")
         order = min(self.order + other.pole, other.order + self.pole)
         cs = [Fraction(0)] * (order - pole)
         for i, a in self.items():
@@ -237,8 +208,6 @@ class TruncSeries:
         if self.is_zero:
             raise NotInvertible("zero series (within its window) has no inverse")
         p = self.pole
-        if -p < pole_floor():
-            raise PoleOverflow(f"inverse pole {-p} below floor {pole_floor()}")
         n = self.order - p  # window width is preserved by inversion
         a = self.coeffs
         inv0 = Fraction(1) / a[0]
@@ -247,14 +216,6 @@ class TruncSeries:
             s = sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1))
             out[k] = -inv0 * s
         return TruncSeries(-p, out, -p + n)
-
-    def __pow__(self, e: int) -> "TruncSeries":
-        if e < 0:
-            return self.invert() ** (-e)
-        acc = TruncSeries.one(self.order)
-        for _ in range(e):
-            acc = acc * self
-        return acc
 
     # -- rendering -----------------------------------------------------------
 

@@ -141,29 +141,20 @@ def raising_generators(max_depth: int) -> list[Gen]:
     return gens
 
 
-def singular_vector_search(
-    level: Scalar, degree: int, weight: int | None = None
-) -> list[tuple[int, int, Element]]:
+def singular_vector_search(level: Scalar, degree: int) -> list[tuple[int, int, Element]]:
     """Vectors of each depth <= degree killed by all raising generators.
 
     Returns (depth, weight, element) triples; the element dict maps PBW
     words to coefficients.  Weight-homogeneous slices are searched
-    separately; pass a weight to restrict the search.
+    separately.
     """
     if degree > MAX_DEPTH:
         raise WindowOverflow(f"search depth capped at {MAX_DEPTH}")
     mod = VacuumModule(level)
     found = []
     for d in range(1, degree + 1):
-        weights = (
-            [weight]
-            if weight is not None
-            else sorted({mod.weight(w) for w in mod.slice_basis(d)})
-        )
-        for wt in weights:
+        for wt in sorted({mod.weight(w) for w in mod.slice_basis(d)}):
             basis = mod.slice_basis(d, wt)
-            if not basis:
-                continue
             # each basis word's raising images, keyed by (generator, word);
             # when all of them vanish the whole slice is singular
             images = [

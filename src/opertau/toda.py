@@ -48,11 +48,9 @@ def _check_pairs(pairs) -> list[Pair]:
 
 
 def kernel_plus_minus(p: Fraction, q: Fraction, cutoff: int) -> Fraction:
+    """<psi^+(p) psi^-(q)>; with the points swapped, <psi^-(q) psi^+(p)> is
+    kernel_plus_minus(q, p)."""
     return sum((q**k) / (p ** (k + 1)) for k in range(cutoff))
-
-
-def kernel_minus_plus(q: Fraction, p: Fraction, cutoff: int) -> Fraction:
-    return sum((p**k) / (q ** (k + 1)) for k in range(cutoff))
 
 
 def xi(z: Fraction, degree: int, prime: bool = False) -> TimesSeries:
@@ -81,11 +79,7 @@ def _pfaffian(word, cutoff: int) -> Fraction:
 
     def contraction(a, b):
         (sa, za), (sb, zb) = a, b
-        if sa == sb:
-            return Fraction(0)
-        if sa == "+":
-            return kernel_plus_minus(za, zb, cutoff)
-        return kernel_minus_plus(za, zb, cutoff)
+        return Fraction(0) if sa == sb else kernel_plus_minus(za, zb, cutoff)
 
     first, rest = word[0], list(word[1:])
     total = Fraction(0)

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from opertau import jsonio
+from opertau import cli, jsonio
 from opertau.cli import run
 from opertau.grass import GrassPoint
+from opertau.krichever import main_theorem_check
 from opertau.oper import MiuraOper, miura_transform
 from opertau.series import TruncSeries, tpoly
 
@@ -65,6 +66,23 @@ class TestExitCodes:
         path = write_json(tmp_path, "tau.json", tau)
         assert run(["--json", "hirota-check", "--tau", path]) == 2
 
+    def test_tau_malformed_time_name(self, tmp_path, capsys):
+        tau = {"bound": 4, "terms": [{"exps": {"t0": 1}, "coef": ["5", "1"]}]}
+        path = write_json(tmp_path, "tau.json", tau)
+        assert run(["--json", "hirota-check", "--tau", path]) == 2
+        assert "time name" in capsys.readouterr().err
+
+    def test_tau_repeated_monomial(self, tmp_path, capsys):
+        terms = [{"exps": {"t1": 1}, "coef": ["1", "1"]}, {"exps": {"t1": 1}, "coef": ["2", "1"]}]
+        path = write_json(tmp_path, "tau.json", {"bound": 4, "terms": terms})
+        assert run(["--json", "hirota-check", "--tau", path]) == 2
+        assert "repeated monomial" in capsys.readouterr().err
+
+    def test_hirota_check_on_a_tau_too_short_for_degree_zero(self, tmp_path, capsys):
+        path = write_json(tmp_path, "tau.json", {"bound": 2, "terms": []})
+        assert run(["--json", "hirota-check", "--tau", path]) == 3
+        assert "BadArgument" in capsys.readouterr().err
+
     def test_toda_pairs_of_wrong_shape(self, tmp_path, capsys):
         path = write_json(tmp_path, "pairs.json", [["1/2", "2"]])
         assert run(["--json", "--degree", "4", "toda-tau", "--pairs", path]) == 2
@@ -118,6 +136,17 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["recomposition_matches"] is True
         assert out["order"] == 12 and out["depth"] == -8
+
+    def test_root_with_a_pole_below_t_minus_8(self, capsys):
+        assert run(["--json", "root", "--n", "2", "d^2 + t^-9"]) == 0
+        assert json.loads(capsys.readouterr().out)["recomposition_matches"] is True
+
+    def test_plain_text_report(self, capsys):
+        assert run(["root", "--n", "2", "d^2 + t"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        keys = [line.split(": ", 1)[0] for line in lines]
+        assert keys == ["depth", "order", "recomposition_matches", "root", "text"]
+        assert {"depth: -8", "order: 12", "recomposition_matches: True"} <= set(lines)
 
     def test_miura(self, tmp_path, capsys):
         chi = tpoly({0: 1, 1: 2}, 12)
@@ -181,6 +210,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_hecke_verify_plain_table(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_relations", lambda win: [("braid", True), ("quadratic", False)])
+        assert run(["hecke-verify", "--n", "2", "--N", "2", "--zrange", "1"]) == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "n: 2  N: 2  zrange: -1,1", "PASS  braid", "FAIL  quadratic", "all_hold: False",
+        ]
+
     def test_hecke_verify_reports_its_window(self, capsys):
         assert run(["--json", "hecke-verify", "--n", "3", "--N", "2", "--zrange", "1"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -219,6 +255,23 @@ class TestCommands:
         assert out["all_passed"] is True
         assert (out["n"], out["tau_constant_term"]) == (2, "1")
         assert isinstance(out["annihilator_count"], int)
+
+    def test_main_check_reports_what_the_check_used(self, tmp_path, monkeypatch, capsys):
+        reports = []
+
+        def check(*args):
+            reports.append(main_theorem_check(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "main_theorem_check", check)
+        chi = tpoly({1: 1}, 20)
+        mpath = write_json(tmp_path, "m.json", jsonio.miura_to_json(MiuraOper(2, (chi, -chi))))
+        assert run(["--json", "--window=-6,6", "--degree", "6", "main-check", "--miura", mpath]) == 0
+        out = json.loads(capsys.readouterr().out)
+        (report,) = reports
+        assert (out["window"], out["degree"]) == (list(report.window), report.degree) == ([-6, 6], 6)
+        assert (out["annihilator_window"], out["annihilator_degree"]) == (
+            report.details["annihilator_window"], report.details["annihilator_degree"]) == ([-6, 6], 6)
 
     def test_reports_name_only_the_settings_used(self, tmp_path, capsys):
         settings = {"order", "depth", "window", "degree"}

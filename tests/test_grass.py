@@ -11,7 +11,6 @@ from opertau.errors import BadArgument, ChargeMismatch, DegenerateFrame
 from opertau.fock import partitions
 from opertau.grass import (
     GrassPoint,
-    grass_window,
     hirota_residual,
     plucker,
     random_perturbed_frame,
@@ -79,7 +78,7 @@ class TestWindowPoints:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateFrame):
-            grass_window([{0: 1}, {0: 2}], (-2, 2))
+            GrassPoint((-2, 2), [{0: 1}, {0: 2}])
 
     def test_echelon_idempotent(self, rng):
         W = random_perturbed_frame(rng, (-6, 6))
@@ -135,7 +134,7 @@ class TestTau:
             for p in pivots
         ]
         W = GrassPoint((lo, hi), cols)
-        assert W.charge == 0 and plucker(W, ()) == 0
+        assert W.virtdim == 0 and plucker(W, ()) == 0
         td = tau_determinant(W, 8)
         assert td == tau_schur(W, 8)
         assert td.min_weight() == negative * negative  # lowest pi_lambda: square lambda
@@ -230,6 +229,11 @@ class TestLeibnizHirota:
         with pytest.raises(BadArgument):
             hirota_residual(TimesSeries.one(7), 4)
 
+    def test_negative_degree_rejected(self):
+        # an exact tau passes the bound check, so only the degree can refuse
+        with pytest.raises(BadArgument, match="degree >= 0"):
+            hirota_residual(TimesSeries.one(None), -2)
+
 
 # -- Pluecker coordinates: pivot-complement minor against the full determinant
 
@@ -238,7 +242,7 @@ def reference_plucker(W, lam):
     """The full hi x hi determinant of the frame on the rows k - 1 - lambda_k,
     k = 1..hi (the definition that ``plucker`` reduces to one minor)."""
     lo, hi = W.window
-    if W.charge != 0:
+    if W.virtdim != 0:
         raise ChargeMismatch("Pluecker coordinates need a charge-0 point")
     if lam and (len(lam) > hi or lam[0] > -lo):
         return Fraction(0)

@@ -85,3 +85,27 @@ class TestStrictIntegers:
         A = jsonio.psido_to_json(PsiDO({2: TruncSeries.one(12)}, depth=-5))
         with pytest.raises(ParseError):
             jsonio.psido_from_json({**A, "depth": -5.0})
+
+
+class TestTimeNames:
+    """Only t<k> and t'<k> with k >= 1 name a time, and a monomial appears once."""
+
+    def decode(self, *exps):
+        terms = [{"exps": e, "coef": [str(c), "1"]} for c, e in enumerate(exps, 1)]
+        return jsonio.times_from_json({"bound": 4, "terms": terms})
+
+    @pytest.mark.parametrize("name", ["t0", "t-1", "t'0", "t'-2", "s1", "t", "t'", "t1x", "t+1", "t01"])
+    def test_malformed_name(self, name):
+        with pytest.raises(ParseError, match="time name"):
+            self.decode({}, {name: 1})
+
+    def test_repeated_monomial(self):
+        with pytest.raises(ParseError, match="repeated monomial"):
+            self.decode({"t1": 1}, {"t2": 1}, {"t1": 1})
+        with pytest.raises(ParseError, match="repeated monomial"):
+            self.decode({"t'2": 1}, {"t'2": 1, "t1": 0})
+
+    def test_names_and_zero_exponents(self):
+        got = self.decode({}, {"t2": 1, "t'1": 1}, {"t10": 0, "t1": 1})
+        want = {((), ()): 1, ((0, 1), (1,)): 2, ((1,), ()): 3}
+        assert got == TimesSeries(want, 4)

@@ -21,7 +21,7 @@ from opertau.krichever import (
 )
 from opertau.oper import MiuraOper, ScalarOper, miura_transform
 from opertau.psido import PsiDO, commutator, compose, configure_tail_depth, nth_root
-from opertau.series import TruncSeries, configure_pole_floor, tpoly
+from opertau.series import TruncSeries, tpoly
 
 from .conftest import random_poly
 
@@ -117,19 +117,20 @@ class TestKricheverPoint:
     def test_methods_agree_on_trusted_rows(self):
         # the closure recursion seeds column j with dressing data truncated
         # at lo - 1, so its rows below lo - 1 + j are model completion; the
-        # direct method is exact wherever its depth reaches
+        # PsiDO route reads every column from the dressing symbol and is
+        # exact wherever its depth reaches
         S = oper(2, [None, {1: -1, 2: 2}], order=26)
         lo, hi = win = (-4, 4)
         with configure_tail_depth(-10):
-            direct = wave_columns(S, win, method="direct")
-        closure = wave_columns(S, win, method="closure")
+            direct = wave_columns(S.to_psido(), win)
+        closure = wave_columns(S, win)
         for j, (d, c) in enumerate(zip(direct, closure)):
             floor = lo - 1 + j
             assert {k: v for k, v in d.items() if k >= floor} == {
                 k: v for k, v in c.items() if k >= floor
             }, j
 
-    def test_wave_cache_keys_on_tail_depth_and_pole_floor(self):
+    def test_wave_cache_keys_on_tail_depth(self):
         chi = tpoly({1: 1}, 20)
         S = miura_transform(MiuraOper(2, (chi, -chi)))
         _wave_columns_cached.cache_clear()
@@ -139,9 +140,9 @@ class TestKricheverPoint:
         _wave_columns_cached.cache_clear()
         with configure_tail_depth(-12):
             assert krichever_point(S, (-10, 12)) == deep != shallow
-            with configure_pole_floor(-24):
-                krichever_point(S, (-10, 12))
-        assert _wave_columns_cached.cache_info().misses == 2
+        assert krichever_point(S, (-10, 12)) == shallow
+        info = _wave_columns_cached.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
 
     def test_negative_control_microdifferential(self):
         # a genuinely microdifferential perturbation breaks z^2-containment
@@ -153,7 +154,7 @@ class TestKricheverPoint:
             }
         )
         with configure_tail_depth(-12):
-            W = krichever_point(L, (-4, 4), method="direct")
+            W = krichever_point(L, (-4, 4))
         assert not n_reduction_holds(W, 2)
 
 

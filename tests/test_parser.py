@@ -51,6 +51,14 @@ class TestParse:
             parse_operator("d + ?")
         assert e.value.col == 5
 
+    def test_dangling_star_position(self):
+        with pytest.raises(ParseError, match="dangling") as e:
+            parse_operator("d *")
+        assert (e.value.line, e.value.col) == (1, 3)
+        with pytest.raises(ParseError, match="dangling") as e:
+            parse_operator("d +\n  t  *")
+        assert (e.value.line, e.value.col) == (2, 6)
+
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             parse_operator("(d + t")

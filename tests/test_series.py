@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opertau.errors import NotIntegrable, NotInvertible, PoleOverflow
-from opertau.series import (
-    DualSeries,
-    TruncSeries,
-    configure_pole_floor,
-    tpoly,
-)
+from opertau.errors import NotIntegrable, NotInvertible
+from opertau.series import DualSeries, TruncSeries, tpoly
 
 from .conftest import random_poly
 
@@ -72,11 +67,12 @@ class TestMul:
         completed = TruncSeries.monomial(-3, 1, 0) * TruncSeries.monomial(-4, 1, 0)
         assert completed.coeff(-7) == 1
 
-    def test_pole_floor(self):
-        a = tpoly({-9: 1})
-        with configure_pole_floor(-10):
-            with pytest.raises(PoleOverflow):
-                _ = a * a
+    def test_deep_pole_product(self):
+        # (t^-9 + 2 t^-8)^2 = t^-18 + 4 t^-17 + 4 t^-16, exact through t^2
+        a = tpoly({-9: 1, -8: 2})
+        prod = a * a
+        assert prod == TruncSeries(-18, [1, 4, 4] + [0] * 18, 3)
+        assert (dict(prod.items()), prod.order) == brute_convolution(a, a)
 
 
 class TestDerivative:
@@ -114,10 +110,12 @@ class TestInvert:
             prod = a * a.invert()
             assert prod.is_one
 
-    def test_floor(self):
-        with configure_pole_floor(-4):
-            with pytest.raises(PoleOverflow):
-                tpoly({5: 1}).invert()
+    def test_deep_pole_inverse(self):
+        # 1 / (t^17 (1 + t)) = t^-17 (1 - t + t^2 - ...), width 7 kept
+        a = tpoly({17: 1, 18: 1}, order=24)
+        inv = a.invert()
+        assert inv == TruncSeries(-17, [(-1) ** k for k in range(7)], -10)
+        assert (a * inv).is_one
 
 
 class TestAntiderivative:

@@ -7,7 +7,6 @@ from opertau.fock import MayaState, clifford_apply, h_action, window_basis
 from opertau.grass import hirota_residual
 from opertau.times import TimesSeries
 from opertau.toda import (
-    kernel_minus_plus,
     kernel_plus_minus,
     toda_tau,
     toda_tau_bruteforce,
@@ -27,7 +26,7 @@ class TestKernels:
                 got = word_vev_fock([("+", p), ("-", q)], cutoff)
                 assert got == kernel_plus_minus(p, q, cutoff)
                 rev = word_vev_fock([("-", q), ("+", p)], cutoff)
-                assert rev == kernel_minus_plus(q, p, cutoff)
+                assert rev == kernel_plus_minus(q, p, cutoff)
 
     def test_same_sign_words_vanish(self):
         assert word_vev_fock([("+", F(2)), ("+", F(3))], 4) == 0
