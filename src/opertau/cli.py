@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage or parse error, 3 precondition violation,
 4 internal invariant breach.  Each report carries only the settings its
 command used: ``root`` and ``bc-curve`` the order and depth, ``kdv-flow``
 and ``kdv-conserved`` the depth (and the order when they build the default
-operator), ``krichever`` the window and depth, ``main-check`` the window,
+operator), ``krichever`` the window, ``main-check`` the window,
 degree and depth, ``tau`` its frame's window and the degree, ``toda-tau``
 the degree, ``hirota-check`` the degree it checked, ``hecke-verify`` the n,
 N and z-range of the tensor window it checked; ``miura`` uses none.
@@ -129,9 +129,15 @@ def _print(args, report: dict) -> None:
 
 
 def _load(path: str) -> dict:
+    def unique(pairs: list) -> dict:
+        keys = [k for k, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ParseError(f"invalid JSON in {path}: repeated key among {keys}")
+        return dict(pairs)
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON in {path}: {e.msg}", e.lineno, e.colno) from e
 
@@ -255,7 +261,6 @@ def _run(args) -> int:
             "virtdim": W.virtdim,
             "n_reduced": n_reduction_holds(W, S.n),
             "window": list(window),
-            "depth": args.depth,
         })
         return 0
     if args.command == "main-check":

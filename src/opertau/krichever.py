@@ -1,11 +1,12 @@
 """Sato dressing, the Krichever map, spectral relations, and flag points.
 
-The dressing operator K = k_0 (1 + k_1 d^-1 + ...) conjugates d^n to a
-given monic operator; evaluating the symbols of d^j K at t = 0 yields the
-frame of a Grassmannian window point.  Columns beyond the operator order
-follow from the exact shift recursion
+The dressing operator K = w_0 + w_1 d^-1 + ... conjugates d^n to a given
+monic operator L: the wave function psi = K e^(tz) solves L psi = z^n psi.
+The symbols of d^j K at t = 0, read off the Taylor coefficients of the w_p,
+are the frame of a Grassmannian window point.  Columns beyond the operator
+order follow from the exact shift recursion
 
-    z^n w_j = w_{j+n} - sum_{i,s} C(j,s) q_i^(s)(0) w_{j+n-i-s},
+    z^n c_j = c_{j+n} - sum_{i,s} C(j,s) q_i^(s)(0) c_{j+n-i-s},
 
 the t = 0 shadow of d^j L K = d^j K d^n, which makes the window model
 n-reduced on the nose.  A Miura datum refines the resulting point to a
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from . import linalg
 from .dmodule import annihilator_basis, same_annihilators
@@ -29,78 +31,68 @@ from .oper import (
     gauge_reduce_with_matrix,
     miura_transform,
 )
-from .psido import (
-    PsiDO,
-    _binom,
-    _compose_coeff,
-    commutator,
-    compose,
-    invert_monic0,
-    nth_root,
-    tail_depth,
-)
+from .psido import PsiDO, _binom, _derivative, commutator, compose, invert_monic0, tail_depth
 from .series import TruncSeries
 
 Window = tuple[int, int]
 
 
 def dressing(S, depth: int | None = None) -> PsiDO:
-    """K = k_0 (1 + k_1 d^-1 + ...) with K d^n K^-1 = L, constants all 0.
+    """The dressing K = w_0 + w_1 d^-1 + ... of a ScalarOper or monic PsiDO L.
 
-    Accepts a ScalarOper or any monic PsiDO with top coefficient 1.  Solves
-    K d = R K order by order for R the Schur root of L.  Step j reads one
-    coefficient, [(R - d - r_0) K_partial]_(-j) for K_partial = k_0 + ... +
-    k_(j-1) d^(1-j), from the one-order kernel ``compose`` sums with
-    (derivatives of each k_i computed once), and solves the first-order recursion
-    k_j' + r_0 k_j = -[...]_(-j) in the series coefficients with k_j(0) = 0.
-    An order below the ambient tail depth reads as absent, as it would in
-    the composed operator.  The zeroth-order unit k_0 is forced by
-    k_0' = -r_0 k_0 with k_0(0) = 1; it collapses to 1 exactly when the
-    subprincipal coefficient q_1 vanishes.
+    psi = K e^(tz) = e^(tz) sum_p w_p z^-p solves L psi = z^n psi, so
+    L K = K d^n, and for L = sum_m a_m d^m (a_n = 1) the z^(n-1-p) coefficient
+    of L psi = z^n psi reads n w_p' + a_(n-1) w_p = -sum C(m, s) a_m w_i^(s)
+    over s >= 0 with i = p + 1 + m - n - s < p (generalized C for m < 0).
+    The power series solutions with w_0(0) = 1, w_p(0) = 0 (p >= 1) make K
+    unique.  w_p reads a_m for m >= n - 1 - p only, so K is trusted down to
+    ``depth`` (default: the ambient tail depth) or L.depth - n + 1, whichever
+    is shallower, and never below the last w_p known past t^0.
     """
     L = S.to_psido() if isinstance(S, ScalarOper) else S
     if L.top is None or not L.terms[L.top].is_one:
         raise NotMonic("dressing needs a monic operator")
     n = L.top
     target = tail_depth() if depth is None else depth
-    R = nth_root(L, n, depth=target) if n > 1 else L
-    if R.depth is not None:
-        target = max(target, R.depth)  # k_j reads r_i for i >= -j only
-    one = L.terms[n]
-    order = one.order
-    r0 = R.terms.get(0)
-    minus = {i: c for i, c in R.terms.items() if i < 0}
-    # the nonzero k_j found so far, keyed by d-order -j
-    K = {0: _solve_linear_ode(r0, None, order, head=1)}
+    if L.depth is not None:
+        target = max(target, L.depth - n + 1)
+    order = L.terms[n].order
+    r0 = L.terms[n - 1] * Fraction(1, n) if n - 1 in L.terms else None
+    W = {0: _solve_linear_ode(r0, None, order, head=1)}  # the nonzero w_p, by p
     derivs: dict[int, list] = {}
-    floor = tail_depth()
-    for j in range(1, -target + 1):
-        width = order - j
-        if width <= 0:
+    for p in range(1, -target + 1):
+        if order - p < 2:
+            target = 1 - p  # w_p(0) = 0 is all that is known of w_p
             break
-        rhs = _compose_coeff(minus, K, -j, derivs) if -j >= floor else None
-        k = _solve_linear_ode(r0, rhs, width, head=0)
-        if not k.is_zero:
-            K[-j] = k
-    return PsiDO(K, target)
+        total = None
+        for m, a in L.terms.items():
+            for s in range(max(0, m + 2 - n), p + 2 + m - n):
+                i, coef = p + 1 + m - n - s, _binom(m, s)
+                w = _derivative(W, i, s, derivs) if i in W and coef else None
+                if w is not None:
+                    term = a * w if coef == 1 else (a * w) * Fraction(coef)
+                    total = term if total is None else total + term
+        rhs = None if total is None or total.is_zero else total * Fraction(1, n)
+        w = _solve_linear_ode(r0, rhs, order - p, head=0)
+        if not w.is_zero:
+            W[p] = w
+    return PsiDO({-p: w for p, w in W.items()}, target)
 
 
 def _solve_linear_ode(
     r0: TruncSeries | None, rhs: TruncSeries | None, width: int, head: Fraction | int
 ) -> TruncSeries:
-    """Power-series solution of k' + r0 k + rhs = 0 with k(0) = head."""
+    """Power-series solution of k' + r0 k + rhs = 0 with k(0) = head, cut
+    where r0 or rhs stops being known."""
     coeffs = [Fraction(head)] + [Fraction(0)] * (width - 1)
     for m in range(width - 1):
-        total = Fraction(0)
-        if rhs is not None:
-            if not rhs.known(m):
-                width = m + 1
-                break
-            total -= rhs.coeff(m)
+        if any(f is not None and not f.known(m) for f in (r0, rhs)):
+            width = m + 1
+            break
+        total = -rhs.coeff(m) if rhs is not None else Fraction(0)
         if r0 is not None:
-            for a in range(m + 1):
-                if a >= r0.pole and r0.known(a):
-                    total -= r0.coeff(a) * coeffs[m - a]
+            for a in range(max(0, r0.pole), m + 1):
+                total -= r0.coeff(a) * coeffs[m - a]
         coeffs[m + 1] = total / (m + 1)
     return TruncSeries(0, coeffs[:width], width)
 
@@ -116,59 +108,53 @@ def dressing_conjugate(K: PsiDO, n: int) -> PsiDO:
 def wave_columns(S, window: Window) -> list[dict[int, Fraction]]:
     """Raw wave columns, memoized on ScalarOper inputs."""
     if isinstance(S, ScalarOper):
-        return [dict(col) for col in _wave_columns_cached(S, window, tail_depth())]
+        return [dict(col) for col in _wave_columns_cached(S, window)]
     return _wave_columns(S, window)
 
 
 @lru_cache(maxsize=64)
-def _wave_columns_cached(S, window, depth):
-    """``_wave_columns`` keyed also on the tail depth in force, which it reads."""
+def _wave_columns_cached(S, window):
     return tuple(tuple(col.items()) for col in _wave_columns(S, window))
 
 
 def _wave_columns(S, window: Window) -> list[dict[int, Fraction]]:
-    """Raw (un-echelonized) wave-function columns w_0, w_1, ... on a window.
+    """Raw (un-echelonized) wave-function columns c_0, c_1, ... on a window.
 
     The input type picks the route.  A differential ScalarOper takes the
-    closure recursion: columns j < n come from the dressing symbols and the
-    exact n-reduction recursion extends them, so the frame satisfies
-    z^n W inside W exactly.  Column j is faithful to the untruncated wave
-    data on rows >= lo - 1 + j; below that the model completes it in the
-    unique n-reduced way.  Any other monic PsiDO reads every column from
-    its dressing symbol and needs a depth covering hi - 1 - lo to fill the
-    window.
+    closure recursion: columns j < n are the dressing symbols, exact on
+    every row >= lo, and the exact n-reduction recursion extends them, so
+    the frame satisfies z^n W inside W exactly.  Column j >= 1 is then the
+    symbol of d^j K on rows >= lo + n floor((j - 1) / n); below that the
+    model completes it in the unique n-reduced way.  Any other monic PsiDO
+    reads every column from its dressing symbol.  Neither route reads the
+    ambient tail depth.
     """
     lo, hi = window
     if lo > 0 or hi <= 0:
         raise BadArgument("window must contain 0")
-    if isinstance(S, ScalarOper):
-        n = S.n
-        need_order = hi + 2
-        if min(s.order for s in S.q) < need_order:
-            raise WindowOverflow(
-                "coefficient series too short for the requested window"
-            )
-        # wider coefficient windows only slow the dressing down
-        S = ScalarOper(n, tuple(s.truncate(need_order) for s in S.q))
-        K = dressing(S, depth=lo - 1)
-        cols = [_symbol_column(K, j, lo) for j in range(min(n, hi))]
-        qd = [
-            [S.q[i - 1].taylor_coeff0(s) for s in range(hi + 1)]
-            for i in range(1, n + 1)
-        ]
-        for j in range(len(cols), hi):
-            base = {k + n: v for k, v in cols[j - n].items()}
-            for i in range(1, n + 1):
-                for s in range(j - n + 1):
-                    c = _binom(j - n, s) * qd[i - 1][s]
-                    if c:
-                        for k, v in cols[j - i - s].items():
-                            base[k] = base.get(k, Fraction(0)) + c * v
-            cols.append({k: v for k, v in base.items() if v != 0})
-    else:
+    if not isinstance(S, ScalarOper):
         K = dressing(S, depth=lo - hi)
-        cols = [_symbol_column(K, j, lo) for j in range(hi)]
-    return [{k: v for k, v in col.items() if lo <= k < hi} for col in cols]
+        return [_symbol_column(K, j, lo) for j in range(hi)]
+    n = S.n
+    # row lo of column n - 1 reads [t^s] w_p with s + p = n - 1 - lo
+    need_order = max(hi + 2, n - lo)
+    if min(s.order for s in S.q) < need_order:
+        raise WindowOverflow("coefficient series too short for the requested window")
+    # wider coefficient windows only slow the dressing down
+    S = ScalarOper(n, tuple(s.truncate(need_order) for s in S.q))
+    K = dressing(S, depth=min(0, lo + 2 - n))
+    cols = [_symbol_column(K, j, lo) for j in range(min(n, hi))]
+    qd = [[factorial(s) * q.coeff(s) for s in range(hi + 1)] for q in S.q]  # q_i^(s)(0)
+    for j in range(len(cols), hi):  # every column keeps to rows lo..j
+        base = {k + n: v for k, v in cols[j - n].items()}
+        for i in range(1, n + 1):
+            for s in range(j - n + 1):
+                c = _binom(j - n, s) * qd[i - 1][s]
+                if c:
+                    for k, v in cols[j - i - s].items():
+                        base[k] = base.get(k, Fraction(0)) + c * v
+        cols.append({k: v for k, v in base.items() if v != 0})
+    return cols
 
 
 def krichever_point(S, window: Window) -> GrassPoint:
@@ -177,20 +163,23 @@ def krichever_point(S, window: Window) -> GrassPoint:
 
 
 def _symbol_column(K: PsiDO, j: int, lo: int) -> dict[int, Fraction]:
-    """z-symbol of d^j K at t = 0, truncated below at lo."""
-    order = min(c.order for c in K.terms.values())
-    op = compose(PsiDO.d(j, order), K) if j else K
-    col: dict[int, Fraction] = {}
-    for m, c in op.terms.items():
-        if m < lo:
-            continue
-        if c.pole > 0:
-            continue
-        if not c.known(0):
-            raise WindowOverflow(
-                "dressing coefficients too shallow to evaluate at t = 0"
-            )
-        v = c.coeff(0)
+    """z-symbol of d^j K = sum C(j, s) w_p^(s) d^(j-s-p) at t = 0, rows >= lo.
+
+    As w_0(0) = 1 and w_p(0) = 0 for p >= 1, row m is
+    [m = j] + sum_(s >= 1) C(j, s) s! [t^s] w_(j-s-m).  Raises WindowOverflow
+    rather than read a w_p below K.depth or past its series' order.
+    """
+    if j and K.depth is not None and lo + 1 - j < K.depth:
+        raise WindowOverflow("dressing too shallow for the window")
+    col = {j: Fraction(1)}
+    for m in range(lo, j):
+        v = Fraction(0)
+        for s in range(1, min(j, j - m) + 1):
+            w = K.terms.get(m + s - j)
+            if w is not None:
+                if not w.known(s):
+                    raise WindowOverflow("dressing coefficients too short for the window")
+                v += _binom(j, s) * factorial(s) * w.coeff(s)
         if v:
             col[m] = v
     return col

@@ -247,8 +247,8 @@ def _derivative(B: dict, j: int, k: int, derivs: dict[int, list]):
 def _compose_coeff(A: dict, B: dict, o: int, derivs: dict[int, list]):
     """Coefficient of d^o in A∘B for coefficient dicts A and B; None if zero.
 
-    The one place the binomial rule is summed (``compose`` calls it for each
-    order): zero factors are skipped and a zero sum is absent.  ``derivs``
+    ``compose`` and ``nth_root`` sum the binomial rule here, one order per
+    call: zero factors are skipped and a zero sum is absent.  ``derivs``
     memoizes derivative chains as in ``_derivative``.
     """
     total = None

@@ -72,6 +72,18 @@ class TestExitCodes:
         assert run(["--json", "hirota-check", "--tau", path]) == 2
         assert "time name" in capsys.readouterr().err
 
+    def test_repeated_key_in_a_tau_term(self, tmp_path, capsys):
+        path = tmp_path / "tau.json"
+        path.write_text('{"bound": 4, "terms": [{"exps": {"t1": 1, "t1": 3}, "coef": ["1", "1"]}]}')
+        assert run(["--json", "hirota-check", "--tau", str(path)]) == 2
+        assert "repeated key among ['t1', 't1']" in capsys.readouterr().err
+
+    def test_repeated_key_in_a_frame_column(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"window": [-2, 2], "columns": [{"0": ["1", "1"], "0": ["2", "1"]}]}')
+        assert run(["--json", "--degree", "4", "tau", "--frame", str(path)]) == 2
+        assert "repeated key among ['0', '0']" in capsys.readouterr().err
+
     def test_tau_repeated_monomial(self, tmp_path, capsys):
         terms = [{"exps": {"t1": 1}, "coef": ["1", "1"]}, {"exps": {"t1": 1}, "coef": ["2", "1"]}]
         path = write_json(tmp_path, "tau.json", {"bound": 4, "terms": terms})
@@ -296,8 +308,7 @@ class TestCommands:
         assert used(["kdv-flow", "--r", "3", spath]) == {"depth": -8}
         assert used(["--depth", "-9", "kdv-conserved", "--s", "2"]) == {"order": 12, "depth": -9}
         assert used(["kdv-conserved", "--s", "2", spath]) == {"depth": -8}
-        assert used(["--window=-6,6", "krichever", "--oper", spath]) == {
-            "window": [-6, 6], "depth": -8}
+        assert used(["--window=-6,6", "krichever", "--oper", spath]) == {"window": [-6, 6]}
         assert used(["--window=-6,6", "--degree", "6", "main-check", "--miura", mpath]) == {
             "window": [-6, 6], "degree": 6, "depth": -8}
 

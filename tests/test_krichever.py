@@ -1,11 +1,15 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from opertau import jsonio
 from opertau.errors import BadArgument, NotCommuting, WindowOverflow
 from opertau.grass import GrassPoint, standard_point, tau_schur
 from opertau.krichever import (
     _solve_linear_ode,
+    _symbol_column,
     _wave_columns_cached,
     AffineFlagPoint,
     SpectralRelation,
@@ -26,6 +30,7 @@ from opertau.series import TruncSeries, tpoly
 from .conftest import random_poly
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def oper(n, coeffs, order=20):
@@ -72,28 +77,92 @@ class TestDressing:
 
 
 def reference_dressing(L: PsiDO, n: int, depth: int) -> PsiDO:
-    """Dressing that recomposes (R - d - r_0) K_partial for every order."""
+    """Independent oracle: solve K d = R K for the Schur root R of L, one
+    order at a time, recomposing (R - d - r_0) K_partial in full for each.
+
+    ``compose`` cuts at the ambient tail depth, so call this under a tail
+    depth at least as deep as ``depth``."""
     R = nth_root(L, n, depth=depth)
+    floor = depth if R.depth is None else max(depth, R.depth)
     order = L.terms[n].order
     r0 = R.terms.get(0)
     minus = PsiDO({i: c for i, c in R.terms.items() if i < 0}, R.depth)
     ks = {0: _solve_linear_ode(r0, None, order, head=1)}
-    for j in range(1, -depth + 1):
+    for j in range(1, -floor + 1):
         rhs = compose(minus, PsiDO({-m: c for m, c in ks.items()})).terms.get(-j)
-        if order - j <= 0:
+        if order - j < 2:
+            floor = 1 - j
             break
         ks[j] = _solve_linear_ode(r0, rhs, order - j, head=0)
-    return PsiDO({-j: c for j, c in ks.items()}, depth)
+    return PsiDO({-j: c for j, c in ks.items()}, floor)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_coefficient_dressing_equals_reference(rng, n):
     S = ScalarOper(n, tuple(random_poly(rng, 2, order=10) for _ in range(n)))
-    # depth -9 under an ambient tail depth of -6 also checks that orders the
-    # composed operator would drop below the tail depth read as absent
+    # the dressing reads no ambient tail depth: under a shallow one it still
+    # equals the reference composed under the requested depth
     with configure_tail_depth(-6):
         for depth in (-5, -9):
-            assert dressing(S, depth=depth) == reference_dressing(S.to_psido(), n, depth)
+            with configure_tail_depth(depth):
+                want = reference_dressing(S.to_psido(), n, depth)
+            assert dressing(S, depth=depth) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dressing_equals_reference_with_negative_orders(rng, n):
+    # d^-1 and d^-2 terms exercise the generalized binomials C(m, s), m < 0
+    for L_depth in (None, -3):
+        terms = {n: TruncSeries.one(12)}
+        for m in range(n - 1, -3, -1):
+            terms[m] = random_poly(rng, 2, order=12)
+        L = PsiDO(terms, L_depth)
+        for depth in (-5, -10):
+            with configure_tail_depth(depth):
+                want = reference_dressing(L, n, depth)
+            assert dressing(L, depth=depth) == want
+
+
+def test_dressing_depth_stops_where_the_series_run_out():
+    # w_p is known below t^(order - p), so at order 4 w_3 is known only at
+    # t^0, where it is 0 by normalization, and K claims no d^-3 term
+    S = oper(2, [{0: 1}, {1: 2}], order=4)
+    K = dressing(S, depth=-8)
+    assert K.depth == -2
+    assert dressing(oper(2, [{0: 1}, {1: 2}], order=12), depth=-8).agrees(K)
+
+
+def test_dressing_stops_where_the_subprincipal_coefficient_runs_out():
+    # k' + r0 k = 0 reads r0 up to t^m for the t^(m+1) coefficient of k
+    one = TruncSeries.one(12)
+    L = PsiDO({2: one, 1: tpoly({1: 2}, 4)})
+    assert dressing(L, depth=-2).terms[0].order == 5
+
+
+def line_log_derivative(tau, degree: int) -> TruncSeries:
+    """(d/dt_1 log tau)(t_1 = -x, t_2 = t_3 = ... = 0) as a series in x."""
+    c = [F(0)] * (degree + 1)
+    for (e, ep), v in tau.terms.items():
+        k = e[0] if e else 0
+        if not ep and len(e) <= 1 and k <= degree:
+            c[k] = v
+    f = TruncSeries(0, [v * (-1) ** k for k, v in enumerate(c[:degree])], degree)
+    df = TruncSeries(0, [(k + 1) * c[k + 1] * (-1) ** k for k in range(degree)], degree)
+    return df * f.invert()
+
+
+@pytest.mark.parametrize("name", ["miura_n2.json", "miura_n3.json"])
+def test_criterion_e_wave_function_meets_tau(name):
+    # k_1(x) = (d/dt_1 log tau)(t_1 = -x) along the t_1 line (Date, Jimbo,
+    # Kashiwara and Miwa; Segal and Wilson, section 5), where k_1 = w_1 / w_0
+    # of the dressing: compares the Grassmannian side with the input operator
+    M = jsonio.miura_from_json(json.loads((DATA / name).read_text()))
+    S = miura_transform(M)
+    K = dressing(S)
+    k1 = K.terms[-1] * K.terms[0].invert()
+    tau = tau_schur(krichever_point(S, (-10, 12)), 11)
+    got = line_log_derivative(tau, 11)
+    assert [k1.coeff(k) for k in range(11)] == [got.coeff(k) for k in range(11)]
 
 
 class TestKricheverPoint:
@@ -130,19 +199,62 @@ class TestKricheverPoint:
                 k: v for k, v in c.items() if k >= floor
             }, j
 
-    def test_wave_cache_keys_on_tail_depth(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closure_columns_are_symbols_on_their_exact_rows(self, rng, n):
+        # the recursion weighs q_i^(s)(0) (not the Taylor coefficient) for
+        # s >= 2, which first matters at column 2n
+        S = ScalarOper(n, tuple(random_poly(rng, 3, order=20) for _ in range(n)))
+        lo, hi = win = (-6, 6)
+        direct = wave_columns(S.to_psido(), win)
+        closure = wave_columns(S, win)
+        for j in range(1, hi):
+            floor = lo + n * ((j - 1) // n)
+            assert {k: v for k, v in direct[j].items() if k >= floor} == {
+                k: v for k, v in closure[j].items() if k >= floor
+            }, j
+
+    def test_wave_cache_ignores_tail_depth(self):
         chi = tpoly({1: 1}, 20)
         S = miura_transform(MiuraOper(2, (chi, -chi)))
         _wave_columns_cached.cache_clear()
         shallow = krichever_point(S, (-10, 12))
-        with configure_tail_depth(-12):
+        with configure_tail_depth(-16):
             deep = krichever_point(S, (-10, 12))
-        _wave_columns_cached.cache_clear()
-        with configure_tail_depth(-12):
-            assert krichever_point(S, (-10, 12)) == deep != shallow
-        assert krichever_point(S, (-10, 12)) == shallow
+        assert deep == shallow
         info = _wave_columns_cached.cache_info()
-        assert (info.hits, info.misses) == (0, 2)
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("name", ["miura_n2.json", "miura_n3.json"])
+    def test_point_ignores_tail_depth(self, name):
+        M = jsonio.miura_from_json(json.loads((DATA / name).read_text()))
+        S = miura_transform(M)
+        points = []
+        for depth in (-8, -12, -16):
+            _wave_columns_cached.cache_clear()
+            with configure_tail_depth(depth):
+                points.append(krichever_point(S, (-10, 12)))
+        assert points[0] == points[1] == points[2]
+
+    def test_coefficients_too_short_for_the_window(self, rng):
+        # row -6 of column 2 reads [t^s] w_p with s + p = 8, so order 8 is short
+        S = ScalarOper(3, tuple(random_poly(rng, 2, order=8) for _ in range(3)))
+        with pytest.raises(WindowOverflow):
+            krichever_point(S, (-6, 6))
+        S9 = ScalarOper(3, tuple(random_poly(rng, 2, order=9) for _ in range(3)))
+        assert krichever_point(S9, (-6, 6)).virtdim == 0
+
+    def test_symbol_column_refuses_to_read_below_the_dressing(self):
+        K = dressing(oper(2, [None, {1: -1}]), depth=-3)
+        # row m of column 1 is [t^1] w_-m; w_2 = t/4 + ...
+        assert _symbol_column(K, 1, -3) == {1: F(1), -2: F(1, 4)}
+        with pytest.raises(WindowOverflow):
+            _symbol_column(K, 1, -4)
+        with pytest.raises(WindowOverflow):
+            _symbol_column(K, 2, -3)
+        # w_3 is known only at t^0 when the coefficients stop at t^4
+        short = dressing(oper(2, [None, {1: -1}], order=4), depth=-3)
+        with pytest.raises(WindowOverflow):
+            _symbol_column(short, 2, -2)
 
     def test_negative_control_microdifferential(self):
         # a genuinely microdifferential perturbation breaks z^2-containment
