@@ -27,7 +27,7 @@ print("d t           =", print_operator(A))
 print("d d^-1        =", print_operator(parse_operator("d d^-1")))
 
 # but moving a function past d^-1 costs an infinite tail, cut at the
-# configured depth (default -8) and recorded on the result
+# default tail depth (-8) and recorded on the result
 B = parse_operator("d^-1 t")
 print("d^-1 t        =", print_operator(B))
 print("   trusted depth:", B.depth)

@@ -18,7 +18,6 @@ from .psido import (
     PsiDO,
     commutator,
     compose,
-    configure_tail_depth,
     nth_root,
     residue,
     split,
@@ -91,7 +90,6 @@ __all__ = [
     "commutator",
     "companion_matrix",
     "compose",
-    "configure_tail_depth",
     "conserved_density",
     "dressing",
     "flag_to_grass",

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 usage or parse error, 3 precondition violation,
 4 internal invariant breach.  Each report carries only the settings its
-command used: ``root`` and ``bc-curve`` the order and depth, ``kdv-flow``
-and ``kdv-conserved`` the depth (and the order when they build the default
-operator), ``krichever`` the window, ``main-check`` the window,
-degree and depth, ``tau`` its frame's window and the degree, ``toda-tau``
+command used: ``root`` the order and depth, ``bc-curve`` the order,
+``kdv-flow`` and ``kdv-conserved`` the order when they build the default
+operator, ``krichever`` the window, ``main-check`` the window and
+degree, ``tau`` its frame's window and the degree, ``toda-tau``
 the degree, ``hirota-check`` the degree it checked, ``hecke-verify`` the n,
 N and z-range of the tensor window it checked; ``miura`` uses none.
 """
@@ -30,7 +30,7 @@ from .krichever import (
 )
 from .oper import ScalarOper, miura_transform
 from .parser import parse_operator, print_operator
-from .psido import configure_tail_depth, nth_root
+from .psido import DEFAULT_TAIL_DEPTH, nth_root, power
 from .series import TruncSeries, tpoly
 from .toda import toda_tau
 
@@ -48,7 +48,7 @@ def _int_from(lo: int):
 def _add_common(p, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     p.add_argument("--order", type=_int_from(1), default=d(12), help="series truncation order")
-    p.add_argument("--depth", type=int, default=d(-8), help="operator tail floor")
+    p.add_argument("--depth", type=int, default=d(DEFAULT_TAIL_DEPTH), help="tail depth of root")
     p.add_argument(
         "--window", type=str, default=d("-8,8"),
         help="Grassmannian window as lo,hi (use --window=-8,8)",
@@ -160,15 +160,15 @@ def _flow_oper(args):
     """The operator of a flow command, from its file or the default d^n + t,
     with the settings used to get it."""
     if args.file:
-        return jsonio.scalar_oper_from_json(_load(args.file)), {"depth": args.depth}
-    return _default_oper(args.n, args.order), {"order": args.order, "depth": args.depth}
+        return jsonio.scalar_oper_from_json(_load(args.file)), {}
+    return _default_oper(args.n, args.order), {"order": args.order}
 
 
 def _run(args) -> int:
     if args.command == "root":
         A = parse_operator(args.expression, order=args.order)
-        R = nth_root(A, args.n)
-        back = R**args.n
+        R = nth_root(A, args.n, args.depth)
+        back = power(R, args.n, args.depth)
         _print(args, {
             "root": jsonio.psido_to_json(R),
             "text": print_operator(R),
@@ -250,7 +250,7 @@ def _run(args) -> int:
             ],
             "text": repr(rel),
         }
-        _print(args, {**report, "order": args.order, "depth": args.depth})
+        _print(args, {**report, "order": args.order})
         return 0
     if args.command == "krichever":
         S = jsonio.scalar_oper_from_json(_load(args.oper))
@@ -275,7 +275,6 @@ def _run(args) -> int:
             **report.details,
             "window": list(report.window),
             "degree": report.degree,
-            "depth": args.depth,
         })
         return 0 if report.all_passed else 4
     raise InvariantViolation(f"unhandled command {args.command}")
@@ -288,8 +287,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        with configure_tail_depth(args.depth):
-            return _run(args)
+        return _run(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

@@ -45,12 +45,14 @@ class LaxRhs:
     delta_q: tuple[TruncSeries, ...]  # dq_1 .. dq_n
 
 
-def _root(S: ScalarOper) -> PsiDO:
-    return nth_root(S.to_psido(), S.n)
+def _root(S: ScalarOper, depth: int) -> PsiDO:
+    """The Schur root of L down to ``depth``: B_r = (R^r)_+ reads R down to
+    1 - r, and res R^s reads it down to -s."""
+    return nth_root(S.to_psido(), S.n, depth)
 
 
 def _flow_operator(S: ScalarOper, R: PsiDO, r: int) -> tuple[PsiDO, PsiDO]:
-    """(B_r, [B_r, L]) from the Schur root R of L."""
+    """(B_r, [B_r, L]) from the Schur root R of L, rooted down to 1 - r."""
     B, _ = split(power(R, r, 0))
     return B, commutator(B, S.to_psido())
 
@@ -74,13 +76,14 @@ def _read_rhs(S: ScalarOper, r: int, rhs: PsiDO) -> LaxRhs:
 
 def lax_flow_operator(S: ScalarOper, r) -> tuple[PsiDO, PsiDO]:
     """(B_r, [B_r, L]) for B_r the differential part of L^{r/n}."""
-    return _flow_operator(S, _root(S), _flow(r).r)
+    r = _flow(r).r
+    return _flow_operator(S, _root(S, 1 - r), r)
 
 
 def lax_rhs(S: ScalarOper, r) -> LaxRhs:
     """Right-hand side of dL/dt_r; purely differential, order <= n-2."""
     r = _flow(r).r
-    _, rhs = _flow_operator(S, _root(S), r)
+    _, rhs = _flow_operator(S, _root(S, 1 - r), r)
     return _read_rhs(S, r, rhs)
 
 
@@ -88,13 +91,7 @@ def conserved_density(S: ScalarOper, s: int) -> TruncSeries:
     """res L^{s/n}, the s-th conserved density."""
     if s < 1:
         raise BadArgument("density index must be positive")
-    R = _root(S)
-    P = power(R, s, -1)
-    if -1 not in P.terms:
-        # an exact-zero residue takes its t-window from every order of the
-        # power, including the orders below -1 that the windowed power skips
-        P = power(R, s)
-    return residue(P)
+    return residue(power(_root(S, -s), s, -1))
 
 
 def _dual_scalar_oper(S: ScalarOper, delta: tuple[TruncSeries, ...]) -> PsiDO:
@@ -113,7 +110,7 @@ def _dual_scalar_oper(S: ScalarOper, delta: tuple[TruncSeries, ...]) -> PsiDO:
 
 def _dual_b(S: ScalarOper, delta, k: int) -> PsiDO:
     """Dual-number B_k = (L^{k/n})_+ along the direction dq = delta."""
-    R = nth_root(_dual_scalar_oper(S, delta), S.n)
+    R = nth_root(_dual_scalar_oper(S, delta), S.n, 1 - k)
     B, _ = split(power(R, k, 0))
     return B
 
@@ -134,7 +131,7 @@ def zs_residual(S: ScalarOper, r, s) -> PsiDO:
     is involved.  B_r and B_s share one real root.
     """
     r, s = _flow(r).r, _flow(s).r
-    R = _root(S)
+    R = _root(S, 1 - max(r, s))
     Br, rhs_r = _flow_operator(S, R, r)
     Bs, rhs_s = _flow_operator(S, R, s)
     rhs_r, rhs_s = _read_rhs(S, r, rhs_r), _read_rhs(S, s, rhs_s)

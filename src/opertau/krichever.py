@@ -31,13 +31,14 @@ from .oper import (
     gauge_reduce_with_matrix,
     miura_transform,
 )
-from .psido import PsiDO, _binom, _derivative, commutator, compose, invert_monic0, tail_depth
+from .psido import (DEFAULT_TAIL_DEPTH, PsiDO, _binom, _derivative, commutator, compose,
+                    invert_monic0)
 from .series import TruncSeries
 
 Window = tuple[int, int]
 
 
-def dressing(S, depth: int | None = None) -> PsiDO:
+def dressing(S, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     """The dressing K = w_0 + w_1 d^-1 + ... of a ScalarOper or monic PsiDO L.
 
     psi = K e^(tz) = e^(tz) sum_p w_p z^-p solves L psi = z^n psi, so
@@ -46,16 +47,14 @@ def dressing(S, depth: int | None = None) -> PsiDO:
     over s >= 0 with i = p + 1 + m - n - s < p (generalized C for m < 0).
     The power series solutions with w_0(0) = 1, w_p(0) = 0 (p >= 1) make K
     unique.  w_p reads a_m for m >= n - 1 - p only, so K is trusted down to
-    ``depth`` (default: the ambient tail depth) or L.depth - n + 1, whichever
-    is shallower, and never below the last w_p known past t^0.
+    ``depth`` or L.depth - n + 1, whichever is shallower, and never below the
+    last w_p known past t^0.
     """
     L = S.to_psido() if isinstance(S, ScalarOper) else S
     if L.top is None or not L.terms[L.top].is_one:
         raise NotMonic("dressing needs a monic operator")
     n = L.top
-    target = tail_depth() if depth is None else depth
-    if L.depth is not None:
-        target = max(target, L.depth - n + 1)
+    target = depth if L.depth is None else max(depth, L.depth - n + 1)
     order = L.terms[n].order
     r0 = L.terms[n - 1] * Fraction(1, n) if n - 1 in L.terms else None
     W = {0: _solve_linear_ode(r0, None, order, head=1)}  # the nonzero w_p, by p
@@ -126,8 +125,7 @@ def _wave_columns(S, window: Window) -> list[dict[int, Fraction]]:
     the frame satisfies z^n W inside W exactly.  Column j >= 1 is then the
     symbol of d^j K on rows >= lo + n floor((j - 1) / n); below that the
     model completes it in the unique n-reduced way.  Any other monic PsiDO
-    reads every column from its dressing symbol.  Neither route reads the
-    ambient tail depth.
+    reads every column from its dressing symbol.
     """
     lo, hi = window
     if lo > 0 or hi <= 0:
@@ -223,8 +221,11 @@ def bc_relation(P: PsiDO, Q: PsiDO, bound: int) -> SpectralRelation | None:
 
     Monomials x^a y^b are ordered by the weighted degree a ord(P) + b ord(Q)
     and the first exact linear dependence among the operators P^a Q^b is
-    returned; None if no dependence exists within the bound.
+    returned; None if no dependence exists within the bound.  That order
+    needs differential P and Q, whose products are finite sums.
     """
+    if not (P.is_differential() and Q.is_differential()):
+        raise BadArgument("spectral relations need operators without negative orders")
     if not commutator(P, Q).is_zero:
         raise NotCommuting("spectral relations require [P, Q] = 0")
     np_, nq = P.top or 0, Q.top or 0

@@ -9,39 +9,15 @@ trusted in its result so comparisons never overreach the computed window.
 
 from __future__ import annotations
 
-import contextvars
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadArgument, NotMonic, TailOverflow
 from .series import DualSeries, TruncSeries
 
+# deepest d-order kept where an expansion does not terminate, unless the
+# caller passes another
 DEFAULT_TAIL_DEPTH = -8
-
-_tail_depth: contextvars.ContextVar[int] = contextvars.ContextVar(
-    "tail_depth", default=DEFAULT_TAIL_DEPTH
-)
-
-
-def tail_depth() -> int:
-    """Deepest d-order retained when an expansion does not terminate."""
-    return _tail_depth.get()
-
-
-class configure_tail_depth:
-    """Context manager overriding the tail depth for one computation."""
-
-    def __init__(self, depth: int):
-        self.depth = depth
-        self._token = None
-
-    def __enter__(self):
-        self._token = _tail_depth.set(self.depth)
-        return self
-
-    def __exit__(self, *exc):
-        _tail_depth.reset(self._token)
-        return False
 
 
 @lru_cache(maxsize=None)
@@ -189,8 +165,13 @@ def _agrees_zero(c) -> bool:
     return all(v == 0 for _, v in c.items())
 
 
-def compose(A: PsiDO, B: PsiDO) -> PsiDO:
-    """Operator product via d^i a = sum_k C(i,k) a^(k) d^(i-k)."""
+def compose(A: PsiDO, B: PsiDO, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
+    """Operator product via d^i a = sum_k C(i,k) a^(k) d^(i-k).
+
+    With A differential the sum is finite and is taken in full.  When A has a
+    negative order it does not terminate, and orders below ``depth`` are cut;
+    the result's depth records the cut only if a nonzero term was dropped.
+    """
     if A.is_zero or B.is_zero:
         if (A.is_zero and A.depth is None) or (B.is_zero and B.depth is None):
             return PsiDO({}, _depth_max(A.depth, B.depth))  # exactly zero
@@ -200,32 +181,31 @@ def compose(A: PsiDO, B: PsiDO) -> PsiDO:
         if B.is_zero:
             return PsiDO({}, B.depth + A.top)
         return PsiDO({}, A.depth + B.top)
-    floor = tail_depth()
+    trusted = None  # orders below this are unknown whatever is computed
+    if A.depth is not None:
+        trusted = A.depth + max(B.terms)
+    if B.depth is not None:
+        trusted = _depth_max(trusted, B.depth + max(A.terms))
     derivs: dict[int, list] = {}
+    if min(A.terms) >= 0:
+        lowest = min(B.terms)  # each d^i b_j^(k) d^(j-k) has k <= i
+    else:
+        lowest = depth
+        # the cut counts only if a nonzero term falls below the floor; k is
+        # the first term of d^i b_j below it
+        if (trusted is None or trusted < depth) and any(
+            (i < 0 or k <= i) and _derivative(B.terms, j, k, derivs) is not None
+            for j in B.terms for i in A.terms for k in [max(0, i + j - depth + 1)]
+        ):
+            trusted = depth
+    if trusted is not None and A.top + B.top < trusted:
+        raise TailOverflow("no trusted orders remain in the composition")
     out: dict[int, TruncSeries | DualSeries] = {}
-    # with A differential every term d^i b_j^(k) d^(j-k), k <= i, is >= min(B)
-    lowest = floor if min(A.terms) < 0 else max(floor, min(B.terms))
-    for o in range(A.top + B.top, lowest - 1, -1):
+    for o in range(A.top + B.top, _depth_max(lowest, trusted) - 1, -1):
         c = _compose_coeff(A.terms, B.terms, o, derivs)
         if c is not None:
             out[o] = c
-    cut: int | None = None
-    for j in B.terms:
-        for i in A.terms:
-            k = max(0, i + j - floor + 1)  # first term below the floor
-            if (i < 0 or k <= i) and _derivative(B.terms, j, k, derivs) is not None:
-                cut = floor  # a nonzero term was dropped
-                break
-        if cut is not None:
-            break
-    depth = cut
-    if A.depth is not None:
-        depth = _depth_max(depth, A.depth + max(B.terms))
-    if B.depth is not None:
-        depth = _depth_max(depth, B.depth + max(A.terms))
-    if depth is not None and A.top + B.top < depth:
-        raise TailOverflow("no trusted orders remain in the composition")
-    return PsiDO(out, depth)
+    return PsiDO(out, trusted)
 
 
 def _derivative(B: dict, j: int, k: int, derivs: dict[int, list]):
@@ -268,26 +248,21 @@ def _compose_coeff(A: dict, B: dict, o: int, derivs: dict[int, list]):
     return total
 
 
-def power(A: PsiDO, e: int, lo: int | None = None) -> PsiDO:
-    """A^e for e >= 1 as the product ((A A) A)...; with ``lo``, orders >= lo.
+def power(A: PsiDO, e: int, lo: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
+    """A^e for e >= 1 as the product ((A A) A)..., on the orders >= lo.
 
     The k-th partial product reaches orders >= lo of A^e only through its
-    own orders >= lo - (e-k) top(A), so it is composed with the tail floor
-    raised to that order (never below the ambient tail depth).  Orders >= lo
-    of the result equal those of the full power; its depth records the floor.
+    own orders >= lo - (e-k) top(A), so it is composed at that depth.  Orders
+    >= lo of the result equal those of the full power; its depth records the
+    floor.
     """
     if e < 0:
         raise BadArgument("negative operator powers are not defined here")
     if e == 0:
         raise BadArgument("use an explicit identity for power 0")
-    ambient = tail_depth()
     acc = A
     for k in range(2, e + 1):
-        floor = ambient
-        if lo is not None and A.terms:
-            floor = max(ambient, lo - (e - k) * A.top)
-        with configure_tail_depth(floor):
-            acc = compose(acc, A)
+        acc = compose(acc, A, lo - (e - k) * (A.top or 0))
     return acc
 
 
@@ -329,7 +304,7 @@ def _real_series(A: PsiDO):
             yield c
 
 
-def nth_root(L: PsiDO, n: int, depth: int | None = None) -> PsiDO:
+def nth_root(L: PsiDO, n: int, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     """The monic n-th root R = d + r_0 + r_-1 d^-1 + ... of a monic order-n L.
 
     Matching the coefficient of d^(n-1+m) in R^n = L determines r_m one order
@@ -343,8 +318,8 @@ def nth_root(L: PsiDO, n: int, depth: int | None = None) -> PsiDO:
     from the one-order kernel that ``compose`` itself sums with, so R has the
     Fractions and t-windows of a root read off L - R^n in full at every step.
 
-    R is trusted down to ``depth`` (default: the ambient tail depth), or down
-    to L.depth - n + 1 when L itself is known less deeply.
+    R is trusted down to ``depth``, or down to L.depth - n + 1 when L itself
+    is known less deeply.
     """
     if n <= 0:
         raise BadArgument("root index must be a positive integer")
@@ -357,9 +332,7 @@ def nth_root(L: PsiDO, n: int, depth: int | None = None) -> PsiDO:
         raise NotMonic("top coefficient must be exactly 1")
     if n == 1:
         return L
-    target = tail_depth() if depth is None else depth
-    if L.depth is not None:
-        target = max(target, L.depth - n + 1)
+    target = depth if L.depth is None else max(depth, L.depth - n + 1)
     R = {1: top}  # reuse the (possibly dual) exact-1 coefficient
     derivs: dict[int, list] = {}  # derivative chains of the r_j, by j
     # powers[k]: the coefficients of R^k computed so far (powers[1] is R)
@@ -390,7 +363,8 @@ def nth_root(L: PsiDO, n: int, depth: int | None = None) -> PsiDO:
 
 
 def invert_monic0(A: PsiDO) -> PsiDO:
-    """Inverse of A = a_0 + (orders <= -1) with a_0 an invertible function."""
+    """Inverse of A = a_0 + (orders <= -1) with a_0 an invertible function,
+    down to DEFAULT_TAIL_DEPTH."""
     if A.is_zero or A.top != 0:
         raise NotMonic("inverse implemented for top order 0 only")
     a0 = A.terms[0]
@@ -398,13 +372,12 @@ def invert_monic0(A: PsiDO) -> PsiDO:
     C = compose(a0inv, A)  # 1 + strictly negative orders
     one = PsiDO({0: C.terms[0]})  # the exact 1 coefficient, window-tracked
     N = C - one
-    floor = tail_depth()
     acc = one
     term = one
     while not (term.is_zero or N.is_zero):
-        if term.top + N.top < floor:
+        if term.top + N.top < DEFAULT_TAIL_DEPTH:
             break
-        term = compose(term, -N).truncate_depth(floor)
+        term = compose(term, -N).truncate_depth(DEFAULT_TAIL_DEPTH)
         if term.is_zero:
             break
         acc = acc + term

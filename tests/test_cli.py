@@ -9,10 +9,12 @@ from opertau.cli import run
 from opertau.grass import GrassPoint
 from opertau.krichever import main_theorem_check
 from opertau.oper import MiuraOper, miura_transform
+from opertau.psido import commutator, nth_root, power, residue, split
 from opertau.series import TruncSeries, tpoly
 
 F = Fraction
 MIURA_N2 = str(Path(__file__).parent / "data" / "miura_n2.json")
+MIURA_N3 = str(Path(__file__).parent / "data" / "miura_n3.json")
 
 
 def write_json(tmp_path, name, payload):
@@ -141,6 +143,18 @@ class TestExitCodes:
         assert run(["kdv-conserved", "--s", "1", "--n", "0"]) == 2
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pq", [("d^-1", "d^-2"), ("d^2", "d^2 + d^-1")])
+    def test_bc_curve_with_a_negative_order(self, tmp_path, pq, capsys):
+        # the weighted degree a ord(P) + b ord(Q) orders nothing once an order
+        # is negative: d^-1, d^-2 satisfy x^2 - y, which the search missed
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_text(pq[0])
+        q.write_text(pq[1])
+        argv = ["bc-curve", "--p", str(p), "--q", str(q), "--bound", "4"]
+        for depth in ("-8", "-12"):
+            assert run(["--depth", depth, *argv]) == 3
+            assert "BadArgument" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_root_embedded_check(self, capsys):
@@ -180,6 +194,26 @@ class TestCommands:
         assert run(["--json", "kdv-conserved", "--n", "2", "--s", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["density"]["coeffs"] == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("r", [12, 13])
+    def test_high_flows_read_the_depth_they_need(self, n, r, capsys):
+        # B_r reads the root down to 1 - r and res R^r down to -r, both below
+        # the default tail depth; the reference takes a root of depth -24
+        assert run(["--json", "kdv-flow", "--n", str(n), "--r", str(r)]) == 0
+        flow = json.loads(capsys.readouterr().out)
+        assert run(["--json", "kdv-conserved", "--n", str(n), "--s", str(r)]) == 0
+        density = json.loads(capsys.readouterr().out)["density"]
+        L = cli._default_oper(n, 12).to_psido()
+        R = nth_root(L, n, depth=-24)
+        B, _ = split(power(R, r, 0))
+        rhs = commutator(B, L)
+        assert flow["stationary"] is rhs.is_zero is (r % n == 0)
+        for i, c in enumerate(flow["delta_q"], 1):
+            want = rhs.terms.get(n - i)
+            dq = jsonio.series_from_json(c)
+            assert dq.is_zero if want is None else dq == -want
+        assert density == jsonio.series_to_json(residue(power(R, r, -1)))
 
     def test_tau_and_hirota(self, tmp_path, capsys):
         cols = [{0: 1, -1: F(1, 2)}] + [{k: 1} for k in range(1, 6)]
@@ -268,6 +302,15 @@ class TestCommands:
         assert (out["n"], out["tau_constant_term"]) == (2, "1")
         assert isinstance(out["annihilator_count"], int)
 
+    def test_main_check_reads_no_depth(self, capsys):
+        # the Miura transform composes first-order differential factors,
+        # which terminate, so even a depth above their orders cuts nothing
+        assert run(["--json", "main-check", "--miura", MIURA_N3]) == 0
+        plain = capsys.readouterr().out
+        assert run(["--json", "--depth", "3", "main-check", "--miura", MIURA_N3]) == 0
+        assert capsys.readouterr().out == plain
+        assert json.loads(plain)["all_passed"] is True
+
     def test_main_check_reports_what_the_check_used(self, tmp_path, monkeypatch, capsys):
         reports = []
 
@@ -302,15 +345,15 @@ class TestCommands:
         q.write_text("d^3 - 3 t^-2 d + 3 t^-3")
         assert used(["miura", mpath]) == {}
         assert used(["--order", "10", "root", "--n", "2", "d^2 + t"]) == {"order": 10, "depth": -8}
-        assert used(["bc-curve", "--p", str(p), "--q", str(q), "--bound", "6"]) == {
-            "order": 12, "depth": -8}
-        assert used(["kdv-flow", "--r", "3"]) == {"order": 12, "depth": -8}
-        assert used(["kdv-flow", "--r", "3", spath]) == {"depth": -8}
-        assert used(["--depth", "-9", "kdv-conserved", "--s", "2"]) == {"order": 12, "depth": -9}
-        assert used(["kdv-conserved", "--s", "2", spath]) == {"depth": -8}
+        assert used(["--depth", "-9", "root", "--n", "2", "d^2 + t"]) == {"order": 12, "depth": -9}
+        assert used(["bc-curve", "--p", str(p), "--q", str(q), "--bound", "6"]) == {"order": 12}
+        assert used(["kdv-flow", "--r", "3"]) == {"order": 12}
+        assert used(["kdv-flow", "--r", "3", spath]) == {}
+        assert used(["--depth", "-9", "kdv-conserved", "--s", "2"]) == {"order": 12}
+        assert used(["kdv-conserved", "--s", "2", spath]) == {}
         assert used(["--window=-6,6", "krichever", "--oper", spath]) == {"window": [-6, 6]}
         assert used(["--window=-6,6", "--degree", "6", "main-check", "--miura", mpath]) == {
-            "window": [-6, 6], "degree": 6, "depth": -8}
+            "window": [-6, 6], "degree": 6}
 
     def test_byte_stable(self, tmp_path, capsys):
         chi = tpoly({0: 1}, 12)

@@ -24,7 +24,7 @@ from opertau.krichever import (
     wave_columns,
 )
 from opertau.oper import MiuraOper, ScalarOper, miura_transform
-from opertau.psido import PsiDO, commutator, compose, configure_tail_depth, nth_root
+from opertau.psido import PsiDO, commutator, compose, nth_root
 from opertau.series import TruncSeries, tpoly
 
 from .conftest import random_poly
@@ -78,10 +78,8 @@ class TestDressing:
 
 def reference_dressing(L: PsiDO, n: int, depth: int) -> PsiDO:
     """Independent oracle: solve K d = R K for the Schur root R of L, one
-    order at a time, recomposing (R - d - r_0) K_partial in full for each.
-
-    ``compose`` cuts at the ambient tail depth, so call this under a tail
-    depth at least as deep as ``depth``."""
+    order at a time, recomposing (R - d - r_0) K_partial in full, down to
+    ``depth``, for each."""
     R = nth_root(L, n, depth=depth)
     floor = depth if R.depth is None else max(depth, R.depth)
     order = L.terms[n].order
@@ -89,7 +87,7 @@ def reference_dressing(L: PsiDO, n: int, depth: int) -> PsiDO:
     minus = PsiDO({i: c for i, c in R.terms.items() if i < 0}, R.depth)
     ks = {0: _solve_linear_ode(r0, None, order, head=1)}
     for j in range(1, -floor + 1):
-        rhs = compose(minus, PsiDO({-m: c for m, c in ks.items()})).terms.get(-j)
+        rhs = compose(minus, PsiDO({-m: c for m, c in ks.items()}), depth).terms.get(-j)
         if order - j < 2:
             floor = 1 - j
             break
@@ -100,13 +98,8 @@ def reference_dressing(L: PsiDO, n: int, depth: int) -> PsiDO:
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_coefficient_dressing_equals_reference(rng, n):
     S = ScalarOper(n, tuple(random_poly(rng, 2, order=10) for _ in range(n)))
-    # the dressing reads no ambient tail depth: under a shallow one it still
-    # equals the reference composed under the requested depth
-    with configure_tail_depth(-6):
-        for depth in (-5, -9):
-            with configure_tail_depth(depth):
-                want = reference_dressing(S.to_psido(), n, depth)
-            assert dressing(S, depth=depth) == want
+    for depth in (-5, -9):
+        assert dressing(S, depth=depth) == reference_dressing(S.to_psido(), n, depth)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -118,9 +111,7 @@ def test_dressing_equals_reference_with_negative_orders(rng, n):
             terms[m] = random_poly(rng, 2, order=12)
         L = PsiDO(terms, L_depth)
         for depth in (-5, -10):
-            with configure_tail_depth(depth):
-                want = reference_dressing(L, n, depth)
-            assert dressing(L, depth=depth) == want
+            assert dressing(L, depth=depth) == reference_dressing(L, n, depth)
 
 
 def test_dressing_depth_stops_where_the_series_run_out():
@@ -190,8 +181,7 @@ class TestKricheverPoint:
         # exact wherever its depth reaches
         S = oper(2, [None, {1: -1, 2: 2}], order=26)
         lo, hi = win = (-4, 4)
-        with configure_tail_depth(-10):
-            direct = wave_columns(S.to_psido(), win)
+        direct = wave_columns(S.to_psido(), win)
         closure = wave_columns(S, win)
         for j, (d, c) in enumerate(zip(direct, closure)):
             floor = lo - 1 + j
@@ -214,26 +204,14 @@ class TestKricheverPoint:
             }, j
 
     def test_wave_cache_ignores_tail_depth(self):
+        # the wave columns read no tail depth, so (S, window) is the whole key
         chi = tpoly({1: 1}, 20)
         S = miura_transform(MiuraOper(2, (chi, -chi)))
         _wave_columns_cached.cache_clear()
-        shallow = krichever_point(S, (-10, 12))
-        with configure_tail_depth(-16):
-            deep = krichever_point(S, (-10, 12))
-        assert deep == shallow
+        first = krichever_point(S, (-10, 12))
+        assert krichever_point(S, (-10, 12)) == first
         info = _wave_columns_cached.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-
-    @pytest.mark.parametrize("name", ["miura_n2.json", "miura_n3.json"])
-    def test_point_ignores_tail_depth(self, name):
-        M = jsonio.miura_from_json(json.loads((DATA / name).read_text()))
-        S = miura_transform(M)
-        points = []
-        for depth in (-8, -12, -16):
-            _wave_columns_cached.cache_clear()
-            with configure_tail_depth(depth):
-                points.append(krichever_point(S, (-10, 12)))
-        assert points[0] == points[1] == points[2]
 
     def test_coefficients_too_short_for_the_window(self, rng):
         # row -6 of column 2 reads [t^s] w_p with s + p = 8, so order 8 is short
@@ -265,8 +243,7 @@ class TestKricheverPoint:
                 -1: TruncSeries.one(20),
             }
         )
-        with configure_tail_depth(-12):
-            W = krichever_point(L, (-4, 4))
+        W = krichever_point(L, (-4, 4))
         assert not n_reduction_holds(W, 2)
 
 

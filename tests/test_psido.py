@@ -1,23 +1,25 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opertau import jsonio
 from opertau.errors import NotMonic, TailOverflow
 from opertau.kdv import conserved_density
 from opertau.oper import ScalarOper
 from opertau.psido import (
+    DEFAULT_TAIL_DEPTH,
     PsiDO,
     commutator,
     compose,
-    configure_tail_depth,
     invert_monic0,
     nth_root,
     power,
     residue,
     split,
-    tail_depth,
 )
 from opertau.series import DualSeries, TruncSeries, tpoly
 
@@ -93,13 +95,27 @@ class TestCompose:
         assert compose(PsiDO.zero(), PsiDO({}, depth=0)).depth == 0
 
     def test_floor_depth_only_when_a_nonzero_term_is_dropped(self):
-        with configure_tail_depth(-3):
-            # d^-1 t d^-2 = t d^-3 - d^-4: the d^-4 term falls below the floor
-            got = compose(D(-1), PsiDO({-2: tpoly({1: 1})}))
-            assert got.depth == -3
-            assert set(got.terms) == {-3}
-            # d^-1 1 d^-2 = d^-3 exactly: the derivative chain dies first
-            assert compose(D(-1), PsiDO({-2: TruncSeries.one(12)})).depth is None
+        # d^-1 t d^-2 = t d^-3 - d^-4: the d^-4 term falls below the floor
+        got = compose(D(-1), PsiDO({-2: tpoly({1: 1})}), depth=-3)
+        assert got.depth == -3
+        assert set(got.terms) == {-3}
+        # d^-1 1 d^-2 = d^-3 exactly: the derivative chain dies first
+        assert compose(D(-1), PsiDO({-2: TruncSeries.one(12)}), depth=-3).depth is None
+
+    def test_differential_factors_compose_exactly_at_any_depth(self):
+        # the Miura factors d - chi_i terminate, so no depth cuts them
+        path = Path(__file__).parent / "data" / "miura_n3.json"
+        M = jsonio.miura_from_json(json.loads(path.read_text()))
+        factors = [D(1, 20) - mul_op(c) for c in M.chi]
+        products = []
+        for depth in (3, -8):
+            acc = factors[0]
+            for f in factors[1:]:
+                acc = compose(acc, f, depth)
+            products.append(acc)
+        shallow, deep = products
+        assert shallow.depth is None and shallow == deep
+        assert set(shallow.terms) == {0, 1, 2, 3}
 
     def test_tail_overflow(self):
         A = PsiDO({-6: TruncSeries.one(12)}, depth=-6)
@@ -230,34 +246,32 @@ class TestInverse:
         Ki = invert_monic0(K)
         assert compose(K, Ki).agrees(PsiDO({0: TruncSeries.one(12)}))
 
-    def test_depth_override(self):
-        with configure_tail_depth(-4):
-            K = PsiDO({0: TruncSeries.one(12), -1: tpoly({0: 1})})
-            Ki = invert_monic0(K)
-            assert min(Ki.terms) >= -5
+    def test_inverse_stops_at_the_tail_depth(self):
+        # (1 + d^-1)^-1 = 1 - d^-1 + d^-2 - ... does not terminate
+        K = PsiDO({0: TruncSeries.one(12), -1: tpoly({0: 1})})
+        Ki = invert_monic0(K)
+        assert min(Ki.terms) == Ki.depth == DEFAULT_TAIL_DEPTH
 
 
 # -- the relaxed root against the full recomputation ---------------------------
 
 
-def reference_root(L: PsiDO, n: int, depth: int | None = None) -> PsiDO:
+def reference_root(L: PsiDO, n: int, depth: int) -> PsiDO:
     """Schur root read off L - R^n, recomputed in full at every step."""
-    target = tail_depth() if depth is None else depth
     R = PsiDO({1: L.terms[n]})
-    with configure_tail_depth(target):
-        for m in range(0, target - 1, -1):
-            E = L - reference_power(R, n)
-            c = E.terms.get(n - 1 + m)
-            if c is not None and not c.is_zero:
-                R = R + PsiDO({m: c * Fraction(1, n)})
-    return PsiDO(R.terms, target)
+    for m in range(0, depth - 1, -1):
+        E = L - reference_power(R, n, depth)
+        c = E.terms.get(n - 1 + m)
+        if c is not None and not c.is_zero:
+            R = R + PsiDO({m: c * Fraction(1, n)})
+    return PsiDO(R.terms, depth)
 
 
-def reference_power(R: PsiDO, e: int) -> PsiDO:
-    """((R R) R)... on every order down to the ambient tail depth."""
+def reference_power(R: PsiDO, e: int, depth: int) -> PsiDO:
+    """((R R) R)... on every order down to ``depth``."""
     P = R
     for _ in range(e - 1):
-        P = compose(P, R)
+        P = compose(P, R, depth)
     return P
 
 
@@ -317,22 +331,13 @@ def test_relaxed_root_zero_sums_read_as_absent():
     assert nth_root(L, 3, depth=-5) == reference_root(L, 3, -5)
 
 
-@settings(max_examples=20, deadline=None)
-@given(monic_st(dual=False), st.integers(-6, -2))
-def test_relaxed_root_under_ambient_tail_depth(case, ambient):
-    n, L = case
-    with configure_tail_depth(ambient):
-        assert nth_root(L, n) == reference_root(L, n)
-
-
 @settings(max_examples=25, deadline=None)
 @given(monic_st(dual=False), st.integers(2, 5), st.integers(-3, 1))
 def test_windowed_power_equals_full_power(case, e, lo):
     n, L = case
     R = nth_root(L, n, depth=-5)
-    with configure_tail_depth(-5):
-        full = reference_power(R, e)
-        win = power(R, e, lo)
+    full = reference_power(R, e, -5)
+    win = power(R, e, lo)
     assert {i: c for i, c in win.terms.items() if i >= lo} == {
         i: c for i, c in full.terms.items() if i >= lo
     }
@@ -345,8 +350,8 @@ def _kdv_zero_density(s):
 
 
 def _bsq_zero_density():
-    # L = d^3 - u d - u'/2: res L^(2/3) vanishes, and only the orders below
-    # -1 of L^(2/3) carry the shortest t-window (u' is known one order less)
+    # L = d^3 - u d - u'/2: res L^(2/3) vanishes, and its t-window is that of
+    # u', which is known one order less than u
     u = tpoly({0: 2, 1: -1, 2: 3}, 12)
     return ScalarOper(3, (TruncSeries.zero(12), -u, -u.derivative() * Fraction(1, 2))), 2
 
@@ -357,8 +362,10 @@ def _bsq_zero_density():
     ids=["n2-s2", "n2-s4", "n2-s6", "n3-s2"],
 )
 def test_zero_density_keeps_window(case):
+    # res R^s reads the root down to d^-s; the window of an exact zero comes
+    # from the orders of the full power of that root
     S, s = case
     got = conserved_density(S, s)
-    want = residue(reference_power(reference_root(S.to_psido(), S.n), s))
+    want = residue(reference_power(reference_root(S.to_psido(), S.n, -s), s, -s))
     assert got.is_zero
     assert got == want
