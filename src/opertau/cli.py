@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage or parse error, 3 precondition violation,
 4 internal invariant breach.  Each report carries only the settings its
-command used: ``root`` the order and depth, ``bc-curve`` the order,
+command used: ``root`` the order and its root's depth, ``bc-curve`` the order,
 ``kdv-flow`` and ``kdv-conserved`` the order when they build the default
 operator, ``krichever`` the window, ``main-check`` the window and
 degree, ``tau`` its frame's window and the degree, ``toda-tau``
@@ -174,7 +174,7 @@ def _run(args) -> int:
             "text": print_operator(R),
             "recomposition_matches": back.agrees(A),
             "order": args.order,
-            "depth": args.depth,
+            "depth": R.depth,
         })
         return 0
     if args.command == "miura":

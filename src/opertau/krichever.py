@@ -31,8 +31,8 @@ from .oper import (
     gauge_reduce_with_matrix,
     miura_transform,
 )
-from .psido import (DEFAULT_TAIL_DEPTH, PsiDO, _binom, _derivative, commutator, compose,
-                    invert_monic0)
+from .psido import (DEFAULT_TAIL_DEPTH, PsiDO, _binom, _compose_coeff, commutator,
+                    compose, invert_monic0)
 from .series import TruncSeries
 
 Window = tuple[int, int]
@@ -42,13 +42,13 @@ def dressing(S, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     """The dressing K = w_0 + w_1 d^-1 + ... of a ScalarOper or monic PsiDO L.
 
     psi = K e^(tz) = e^(tz) sum_p w_p z^-p solves L psi = z^n psi, so
-    L K = K d^n, and for L = sum_m a_m d^m (a_n = 1) the z^(n-1-p) coefficient
-    of L psi = z^n psi reads n w_p' + a_(n-1) w_p = -sum C(m, s) a_m w_i^(s)
-    over s >= 0 with i = p + 1 + m - n - s < p (generalized C for m < 0).
-    The power series solutions with w_0(0) = 1, w_p(0) = 0 (p >= 1) make K
-    unique.  w_p reads a_m for m >= n - 1 - p only, so K is trusted down to
-    ``depth`` or L.depth - n + 1, whichever is shallower, and never below the
-    last w_p known past t^0.
+    L K = K d^n.  For L = sum_m a_m d^m (a_n = 1) the z^(n-1-p) coefficient
+    reads n w_p' + a_(n-1) w_p = -[L K_p]_(n-1-p), where K_p holds w_0 ...
+    w_(p-1) only; ``_compose_coeff`` sums that binomial rule, as for any
+    product.  The power series solutions with w_0(0) = 1, w_p(0) = 0
+    (p >= 1) make K unique.  w_p reads a_m for m >= n - 1 - p only, so K is
+    trusted down to ``depth`` or L.depth - n + 1, whichever is shallower, and
+    never below the last w_p known past t^0.
     """
     L = S.to_psido() if isinstance(S, ScalarOper) else S
     if L.top is None or not L.terms[L.top].is_one:
@@ -57,25 +57,18 @@ def dressing(S, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     target = depth if L.depth is None else max(depth, L.depth - n + 1)
     order = L.terms[n].order
     r0 = L.terms[n - 1] * Fraction(1, n) if n - 1 in L.terms else None
-    W = {0: _solve_linear_ode(r0, None, order, head=1)}  # the nonzero w_p, by p
+    K = {0: _solve_linear_ode(r0, None, order, head=1)}  # the nonzero w_p, by d-order -p
     derivs: dict[int, list] = {}
     for p in range(1, -target + 1):
         if order - p < 2:
             target = 1 - p  # w_p(0) = 0 is all that is known of w_p
             break
-        total = None
-        for m, a in L.terms.items():
-            for s in range(max(0, m + 2 - n), p + 2 + m - n):
-                i, coef = p + 1 + m - n - s, _binom(m, s)
-                w = _derivative(W, i, s, derivs) if i in W and coef else None
-                if w is not None:
-                    term = a * w if coef == 1 else (a * w) * Fraction(coef)
-                    total = term if total is None else total + term
-        rhs = None if total is None or total.is_zero else total * Fraction(1, n)
+        total = _compose_coeff(L.terms, K, n - 1 - p, derivs)
+        rhs = None if total is None else total * Fraction(1, n)
         w = _solve_linear_ode(r0, rhs, order - p, head=0)
         if not w.is_zero:
-            W[p] = w
-    return PsiDO({-p: w for p, w in W.items()}, target)
+            K[-p] = w
+    return PsiDO(K, target)
 
 
 def _solve_linear_ode(
@@ -105,10 +98,8 @@ def dressing_conjugate(K: PsiDO, n: int) -> PsiDO:
 
 
 def wave_columns(S, window: Window) -> list[dict[int, Fraction]]:
-    """Raw wave columns, memoized on ScalarOper inputs."""
-    if isinstance(S, ScalarOper):
-        return [dict(col) for col in _wave_columns_cached(S, window)]
-    return _wave_columns(S, window)
+    """Raw wave columns, memoized on the (hashable) operator and window."""
+    return [dict(col) for col in _wave_columns_cached(S, window)]
 
 
 @lru_cache(maxsize=64)
@@ -317,7 +308,7 @@ def miura_to_flag(M: MiuraOper, window: Window) -> AffineFlagPoint:
     S = miura_transform(M)
     waves = wave_columns(S, window)  # raw columns; class of w_j spans the quotient
     _, G = gauge_reduce_with_matrix(bidiagonal_matrix(M))
-    G0 = [[G[i][k].taylor_coeff0(0) for k in range(n)] for i in range(n)]
+    G0 = [[G[i][k].coeff(0) for k in range(n)] for i in range(n)]
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     G0inv = [row[n:] for row in linalg.rref([a + b for a, b in zip(G0, eye)])[0]]
     chain: list[GrassPoint] = []

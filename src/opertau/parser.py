@@ -129,6 +129,8 @@ class _Parser:
                 den = self.take()
                 if den.kind != "int":
                     raise ParseError("expected denominator", den.line, den.col)
+                if int(den.text) == 0:
+                    raise ParseError("zero denominator", den.line, den.col)
                 value = Fraction(int(tok.text), int(den.text))
             return PsiDO.from_series(
                 TruncSeries.monomial(0, value, self.order)

@@ -227,9 +227,9 @@ def _derivative(B: dict, j: int, k: int, derivs: dict[int, list]):
 def _compose_coeff(A: dict, B: dict, o: int, derivs: dict[int, list]):
     """Coefficient of d^o in A∘B for coefficient dicts A and B; None if zero.
 
-    ``compose`` and ``nth_root`` sum the binomial rule here, one order per
-    call: zero factors are skipped and a zero sum is absent.  ``derivs``
-    memoizes derivative chains as in ``_derivative``.
+    ``compose``, ``nth_root`` and ``dressing`` sum the binomial rule here, one
+    order per call: zero factors are skipped and a zero sum is absent.
+    ``derivs`` memoizes derivative chains as in ``_derivative``.
     """
     total = None
     for j in B:

@@ -93,12 +93,6 @@ class TruncSeries:
             return Fraction(0)
         return self.coeffs[k - self.pole]
 
-    def taylor_coeff0(self, s: int) -> Fraction:
-        """s-th derivative at t = 0 divided by s!; requires pole >= 0."""
-        if self.pole < 0:
-            raise NotIntegrable("series has a pole at t = 0")
-        return self.coeff(s)
-
     def items(self):
         for k, c in enumerate(self.coeffs):
             if c:

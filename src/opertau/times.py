@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice, repeat
+from math import factorial
 from operator import add, itemgetter, mul
 from typing import Iterable
 
@@ -251,19 +252,7 @@ class TimesSeries:
             raise ValueError("exp needs a finite weighted bound")
         if self.constant_term() != 0:
             raise ValueError("exp requires zero constant term")
-        v = self.min_weight()
-        result = TimesSeries.one(self.bound)
-        if v is None:
-            return result
-        power = TimesSeries.one(self.bound)
-        fact = 1
-        for j in range(1, self.bound // v + 1):
-            power = power * self
-            fact *= j
-            result = result + power * Fraction(1, fact)
-            if power.is_zero:
-                break
-        return result
+        return _power_sum(self, (Fraction(1, factorial(j)) for j in count(1)))
 
     def invert(self) -> "TimesSeries":
         """Inverse of a series with nonzero constant term (finite bound)."""
@@ -272,17 +261,9 @@ class TimesSeries:
             raise ValueError("invert requires a nonzero constant term")
         if self.bound is None:
             raise ValueError("invert needs a finite weighted bound")
-        g = (self * (Fraction(1) / c0) - 1) * Fraction(-1)  # g = 1 - f/c0
-        result = TimesSeries.one(self.bound)
-        power = TimesSeries.one(self.bound)
-        v = g.min_weight()
-        if v is not None:
-            for _ in range(self.bound // v):
-                power = power * g
-                if power.is_zero:
-                    break
-                result = result + power
-        return result * (Fraction(1) / c0)
+        if c0 == 1:
+            return _power_sum(1 - self, repeat(1))
+        return _power_sum(1 - self * (1 / c0), repeat(1)) * (1 / c0)
 
     def restrict_primary(self) -> "TimesSeries":
         """Set every t'_k = 0."""
@@ -306,3 +287,22 @@ class TimesSeries:
             c = self.terms[key]
             bits.append(f"{c}*" + "*".join(mon) if mon else f"{c}")
         return f"<{' + '.join(bits)} (bound {self.bound})>"
+
+
+def _power_sum(g: TimesSeries, coeffs: Iterable[Fraction]) -> TimesSeries:
+    """1 + sum_(j >= 1) c_j g^j through g's bound, for g with no constant term.
+
+    ``coeffs`` yields c_1, c_2, ...; a c_j of 1 adds g^j unscaled.  g^j weighs
+    at least j min_weight(g), so the sum stops at j = bound // min_weight(g),
+    or earlier at the first zero power.
+    """
+    result = power = TimesSeries.one(g.bound)
+    v = g.min_weight()
+    if v is None:
+        return result
+    for c in islice(coeffs, g.bound // v):
+        power = power * g
+        if power.is_zero:
+            break
+        result = result + (power if c == 1 else power * c)
+    return result

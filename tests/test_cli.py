@@ -143,6 +143,15 @@ class TestExitCodes:
         assert run(["kdv-conserved", "--s", "1", "--n", "0"]) == 2
         assert "--n" in capsys.readouterr().err
 
+    def test_zero_denominator_in_an_expression(self, tmp_path, capsys):
+        assert run(["root", "--n", "2", "1/0"]) == 2
+        assert "zero denominator (line 1, col 3)" in capsys.readouterr().err
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_text("d^2 + 1/0 t")
+        q.write_text("d^3")
+        assert run(["bc-curve", "--p", str(p), "--q", str(q)]) == 2
+        assert "zero denominator (line 1, col 9)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("pq", [("d^-1", "d^-2"), ("d^2", "d^2 + d^-1")])
     def test_bc_curve_with_a_negative_order(self, tmp_path, pq, capsys):
         # the weighted degree a ord(P) + b ord(Q) orders nothing once an order
@@ -162,6 +171,13 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["recomposition_matches"] is True
         assert out["order"] == 12 and out["depth"] == -8
+
+    def test_root_reports_the_depth_of_its_root(self, capsys):
+        # the expression is parsed at the default depth, so d^-1 t^9, whose
+        # expansion reaches d^-10, is known down to d^-8 and its root to d^-9
+        assert run(["--depth", "-16", "--json", "root", "--n", "2", "d^2 + d^-1 t^9"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["depth"] == out["root"]["depth"] == -9
 
     def test_root_with_a_pole_below_t_minus_8(self, capsys):
         assert run(["--json", "root", "--n", "2", "d^2 + t^-9"]) == 0

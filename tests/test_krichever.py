@@ -213,6 +213,28 @@ class TestKricheverPoint:
         info = _wave_columns_cached.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
+    def test_wave_cache_keys_a_microdifferential_operator(self):
+        L = PsiDO({2: TruncSeries.one(20), 0: tpoly({1: 1}, 20), -1: TruncSeries.one(20)})
+        _wave_columns_cached.cache_clear()
+        first = wave_columns(L, (-4, 4))
+        info = _wave_columns_cached.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        assert wave_columns(PsiDO(dict(L.terms)), (-4, 4)) == first
+        info = _wave_columns_cached.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("kind", ["psido", "scalar"])
+    def test_wave_columns_are_fresh_copies(self, kind):
+        chi = tpoly({1: 1}, 20)
+        S = miura_transform(MiuraOper(2, (chi, -chi)))
+        if kind == "psido":
+            S = PsiDO({2: TruncSeries.one(20), 0: tpoly({1: 1}, 20), -1: TruncSeries.one(20)})
+        first = wave_columns(S, (-4, 4))
+        expected = [dict(col) for col in first]
+        first[1][-4] = F(7)
+        del first[0][0]
+        assert wave_columns(S, (-4, 4)) == expected
+
     def test_coefficients_too_short_for_the_window(self, rng):
         # row -6 of column 2 reads [t^s] w_p with s + p = 8, so order 8 is short
         S = ScalarOper(3, tuple(random_poly(rng, 2, order=8) for _ in range(3)))

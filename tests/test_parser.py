@@ -59,6 +59,14 @@ class TestParse:
             parse_operator("d +\n  t  *")
         assert (e.value.line, e.value.col) == (2, 6)
 
+    def test_zero_denominator_position(self):
+        with pytest.raises(ParseError, match="zero denominator") as e:
+            parse_operator("1/0")
+        assert (e.value.line, e.value.col) == (1, 3)
+        with pytest.raises(ParseError, match="zero denominator") as e:
+            parse_operator("d^2 +\n 3/00 t")
+        assert (e.value.line, e.value.col) == (2, 4)
+
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             parse_operator("(d + t")
