@@ -261,9 +261,8 @@ class TimesSeries:
             raise ValueError("invert requires a nonzero constant term")
         if self.bound is None:
             raise ValueError("invert needs a finite weighted bound")
-        if c0 == 1:
-            return _power_sum(1 - self, repeat(1))
-        return _power_sum(1 - self * (1 / c0), repeat(1)) * (1 / c0)
+        c = 1 / c0
+        return _power_sum(1 - self * c, repeat(1)) * c
 
     def restrict_primary(self) -> "TimesSeries":
         """Set every t'_k = 0."""
