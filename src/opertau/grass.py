@@ -8,8 +8,9 @@ fermionic charge of the corresponding semi-infinite wedge under
 z^k <-> v_{-k-1/2}.
 
 Tau functions are produced along two independent routes: the
-Pluecker-Schur sum over partitions and the correlator determinant against
-the complete homogeneous functions; agreement of the two is a test oracle.
+Pluecker-Schur sum, one integer character sum per power sum p_mu with no
+s_lambda expanded, and the correlator determinant against the complete
+homogeneous functions; agreement of the two is a test oracle.
 Each Pluecker coordinate is one small minor of the reduced echelon frame,
 pi_lambda = (-1)^(sum R + sum C) det A[R, C], not a full-window determinant.
 """
@@ -17,10 +18,11 @@ pi_lambda = (-1)^(sum R + sum C) det A[R, C], not a full-window determinant.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import BadArgument, ChargeMismatch, DegenerateFrame
-from .schur import h_complete, schur_polynomial
+from .schur import _power_sum, h_complete, mn_character
 from .series import Scalar, rat
 from .fock import partitions
 from .times import TimesSeries
@@ -140,19 +142,26 @@ def plucker(W: GrassPoint, lam: tuple[int, ...]) -> Fraction:
 
 
 def tau_schur(W: GrassPoint, degree: int) -> TimesSeries:
-    """Pluecker-Schur tau: sum over |lambda| <= degree of pi_lambda s_lambda."""
+    """Pluecker-Schur tau: sum over |lambda| <= degree of pi_lambda s_lambda,
+    over pi_empty unless that is 0.  Per weight the pi_lambda become integers
+    a_lambda over their lcm, and p_mu / z_mu gets sum a_lambda chi^lambda_mu:
+    no s_lambda is expanded.
+    """
     if W.virtdim != 0:
         raise ChargeMismatch("tau requires charge 0; shift the point first")
-    acc = TimesSeries.zero(degree)
     top = plucker(W, ())
+    num, den = (top.denominator, top.numerator) if top else (1, 1)  # 1 / pi_empty
+    terms = {}
     for n in range(degree + 1):
-        for lam in partitions(n):
-            c = plucker(W, lam)
-            if c != 0:
-                acc = acc + schur_polynomial(lam).truncate(degree) * c
-    if top == 0:
-        return acc
-    return acc * (Fraction(1) / top)
+        pis = [(lam, c) for lam in partitions(n) if (c := plucker(W, lam))]
+        common = lcm(*(c.denominator for _, c in pis))
+        ints = [(lam, c.numerator * (common // c.denominator)) for lam, c in pis]
+        for mu in partitions(n):
+            s = sum(a * mn_character(lam, mu) for lam, a in ints)
+            if s:
+                key, scale, z = _power_sum(mu)
+                terms[key] = Fraction(s * scale * num, common * den * z)
+    return TimesSeries._make(terms, degree)
 
 
 def tau_determinant(W: GrassPoint, degree: int) -> TimesSeries:

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import random
 
@@ -62,6 +64,26 @@ class TestSchurPolynomials:
         assert mn_character((1, 1), (2,)) == -1
         assert mn_character((2,), (2,)) == 1
         assert mn_character((2, 1), (1, 1, 1)) == 2
+
+
+def cycle_class_size(mu):
+    """z_mu = prod k^{m_k} m_k!, straight from the multiplicities."""
+    return prod(k**m * factorial(m) for k, m in Counter(mu).items())
+
+
+class TestCharacterTable:
+    @pytest.mark.parametrize("n", range(9))
+    def test_orthogonality(self, n):
+        parts = list(partitions(n))
+        table = {(lam, mu): mn_character(lam, mu) for lam in parts for mu in parts}
+        assert all(type(chi) is int for chi in table.values())
+        for mu in parts:
+            for nu in parts:
+                col = sum(table[lam, mu] * table[lam, nu] for lam in parts)
+                assert col == (cycle_class_size(mu) if mu == nu else 0), (mu, nu)
+        for lam in parts:
+            norm = sum(Fraction(table[lam, mu] ** 2, cycle_class_size(mu)) for mu in parts)
+            assert norm == 1, lam
 
 
 class TestWindowPoints:
@@ -138,6 +160,62 @@ class TestTau:
         td = tau_determinant(W, 8)
         assert td == tau_schur(W, 8)
         assert td.min_weight() == negative * negative  # lowest pi_lambda: square lambda
+
+
+def expanded_tau_schur(W, degree):
+    """The Pluecker-Schur tau summed over expanded s_lambda, as an oracle
+    for the character sum of ``tau_schur``."""
+    acc = TimesSeries.zero(degree)
+    for n in range(degree + 1):
+        for lam in partitions(n):
+            c = grass.plucker(W, lam)
+            if c != 0:
+                acc = acc + schur_polynomial(lam).truncate(degree) * c
+    top = grass.plucker(W, ())
+    return acc * (1 / top) if top != 0 else acc
+
+
+class TestCharacterSum:
+    def assert_matches_expansion(self, W, degree):
+        tau = tau_schur(W, degree)
+        assert tau.bound == degree
+        assert all(type(c) is Fraction for c in tau.terms.values())
+        assert tau == expanded_tau_schur(W, degree)
+        return tau
+
+    @pytest.mark.parametrize("degree", [0, 6, 12])
+    def test_random_frames(self, degree):
+        for seed in range(3):
+            W = random_perturbed_frame(random.Random(seed), (-8, 8), 3)
+            self.assert_matches_expansion(W, degree)
+
+    def test_outside_the_big_cell(self, rng):
+        lo, hi = -6, 6
+        pivots = [-1] + list(range(1, hi))
+        cols = [
+            {p: Fraction(1), **{k: Fraction(rng.randint(-2, 2), 3) for k in range(lo, p)}}
+            for p in pivots
+        ]
+        W = GrassPoint((lo, hi), cols)
+        assert plucker(W, ()) == 0
+        tau = self.assert_matches_expansion(W, 8)
+        assert tau.constant_term() == 0 and not tau.is_zero
+
+    def test_negative_and_fractional_coordinates(self, monkeypatch):
+        # on a reduced frame pi_empty is 0 or 1; rescaling each coordinate
+        # by its own fraction (-2/3 for the empty partition) reaches the
+        # normalization by a negative pi_empty and a nontrivial common
+        # denominator in every weight
+        W = random_perturbed_frame(random.Random(5), (-6, 6), 3)
+        exact = grass.plucker
+
+        def scaled(W, lam):
+            return exact(W, lam) * Fraction(-(sum(lam) + 2), 2 * len(lam) + 3)
+
+        monkeypatch.setattr(grass, "plucker", scaled)
+        assert scaled(W, ()) == Fraction(-2, 3)
+        tau = self.assert_matches_expansion(W, 8)
+        assert tau.constant_term() == 1
 
 
 class TestHirota:
