@@ -18,12 +18,11 @@ pi_lambda = (-1)^(sum R + sum C) det A[R, C], not a full-window determinant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import BadArgument, ChargeMismatch, DegenerateFrame
 from .schur import _power_sum, h_complete, mn_character
-from .series import Scalar, rat
+from .series import Scalar, _integer_row, rat
 from .fock import partitions
 from .times import TimesSeries
 
@@ -153,11 +152,10 @@ def tau_schur(W: GrassPoint, degree: int) -> TimesSeries:
     num, den = (top.denominator, top.numerator) if top else (1, 1)  # 1 / pi_empty
     terms = {}
     for n in range(degree + 1):
-        pis = [(lam, c) for lam in partitions(n) if (c := plucker(W, lam))]
-        common = lcm(*(c.denominator for _, c in pis))
-        ints = [(lam, c.numerator * (common // c.denominator)) for lam, c in pis]
+        pis = {lam: c for lam in partitions(n) if (c := plucker(W, lam))}
+        ints, common = _integer_row(pis.values())
         for mu in partitions(n):
-            s = sum(a * mn_character(lam, mu) for lam, a in ints)
+            s = sum(a * mn_character(lam, mu) for lam, a in zip(pis, ints))
             if s:
                 key, scale, z = _power_sum(mu)
                 terms[key] = Fraction(s * scale * num, common * den * z)

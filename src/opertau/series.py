@@ -7,13 +7,19 @@ computes the window actually supported by its inputs instead of silently
 widening it; mixing two windows yields the intersection of knowledge.
 
 All scalars are :class:`fractions.Fraction`.  There is no floating point
-anywhere in this package.
+anywhere in this package.  Products accumulate integers internally: each
+factor becomes integer numerators over the lcm of its denominators (the
+common-denominator layout of FLINT's ``fmpq_poly``), and each output
+coefficient is made once, as one canonical ``Fraction``, from its integer sum
+over the product of the two denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
+from operator import mul
+from typing import Collection, Iterable, Union
 
 from .errors import NotIntegrable, NotInvertible
 
@@ -30,6 +36,22 @@ def rat(x: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _integer_row(coeffs: Collection[Fraction]) -> tuple[list[int], int]:
+    """``(nums, den)``: the i-th coefficient is ``Fraction(nums[i], den)``,
+    and ``den`` is the lcm of the denominators."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _rstrip(cs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """``cs`` through its last nonzero entry (``cs[0]`` is nonzero), like the
+    length of an ``fmpq_poly``: trailing zeros add nothing to a product."""
+    end = len(cs)
+    while not cs[end - 1]:
+        end -= 1
+    return cs[:end]
+
+
 class TruncSeries:
     """Laurent series with exact coefficients on the window [pole, order)."""
 
@@ -39,13 +61,24 @@ class TruncSeries:
         cs = [rat(c) for c in coeffs]
         if order - pole != len(cs):
             raise ValueError("coefficient count must equal order - pole")
+        self._assign(pole, cs, order)
+
+    def _assign(self, pole: int, cs: list[Fraction], order: int) -> None:
         # canonical form: exact leading zeros are absorbed into the pole
         lead = 0
-        while lead < len(cs) and cs[lead] == 0:
+        while lead < len(cs) and not cs[lead]:
             lead += 1
         self.pole = pole + lead
         self.coeffs = tuple(cs[lead:])
         self.order = order
+
+    @classmethod
+    def _make(cls, pole: int, cs: list[Fraction], order: int) -> "TruncSeries":
+        """Trusted constructor: ``cs`` holds one ``Fraction`` per exponent of
+        [pole, order); only the exact leading zeros are stripped here."""
+        s = object.__new__(cls)
+        s._assign(pole, cs, order)
+        return s
 
     # -- constructors -----------------------------------------------------
 
@@ -162,16 +195,19 @@ class TruncSeries:
             return TruncSeries.zero(min(self.order + other.pole, other.order + self.pole))
         pole = self.pole + other.pole
         order = min(self.order + other.pole, other.order + self.pole)
-        cs = [Fraction(0)] * (order - pole)
-        for i, a in self.items():
-            if i + other.pole >= order:
-                break
-            for j, b in other.items():
-                k = i + j
-                if k >= order:
-                    break
-                cs[k - pole] += a * b
-        return TruncSeries(pole, cs, order)
+        n = order - pole  # = the shorter factor's width
+        a, da = _integer_row(_rstrip(self.coeffs[:n]))
+        b, db = _integer_row(_rstrip(other.coeffs[:n]))
+        b.reverse()
+        last = len(b) - 1
+        m = min(n, len(a) + last)  # t^(pole + k) is 0 from k = m on
+        den = da * db
+        # t^(pole + k) collects a_i b_(k - i) as one integer sum; map stops
+        # at the end of the shorter slice
+        cs = [Fraction(sum(map(mul, a[max(k - last, 0):], b[max(last - k, 0):])), den)
+              for k in range(m)]
+        cs += [Fraction(0)] * (n - m)
+        return TruncSeries._make(pole, cs, order)
 
     __rmul__ = __mul__
 

@@ -14,6 +14,12 @@ trimmed nonnegative tuples is trimmed) and builds its results with the
 trusted ``_make``, which only drops zero coefficients.  A product term
 weighs the sum of its factors' weights, so ``*`` sorts the right factor by
 weight once and stops each row at the bound.
+
+Every coefficient in and out is a :class:`fractions.Fraction`.  ``*``
+accumulates integers internally: each factor becomes integer numerators over
+the lcm of its denominators (``series._integer_row``), and each output
+coefficient is made once from its integer sum over the product of the two
+denominators.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from math import factorial
 from operator import add, itemgetter, mul
 from typing import Iterable
 
-from .series import Scalar, rat
+from .series import Scalar, _integer_row, rat
 
 # exponent key: (t-exponents, t'-exponents), trailing zeros trimmed
 Expo = tuple[int, ...]
@@ -196,21 +202,23 @@ class TimesSeries:
         if not isinstance(other, TimesSeries):
             return NotImplemented
         bound = _min_bound(self.bound, other.bound)
+        nums, d1 = _integer_row(self.terms.values())
+        onums, d2 = _integer_row(other.terms.values())
         graded = sorted(
-            ((weight(k), k[0], k[1], c) for k, c in other.terms.items()),
+            ((weight(k), k[0], k[1], n) for k, n in zip(other.terms, onums)),
             key=itemgetter(0),
         )
         weights = [g[0] for g in graded]
-        out: dict[Key, Fraction] = {}
-        for (e1, p1), c1 in self.terms.items():
+        out: dict[Key, int] = {}
+        for (e1, p1), n1 in zip(self.terms, nums):
             row = graded
             if bound is not None:
                 row = graded[: bisect_right(weights, bound - weight((e1, p1)))]
-            for _, e2, p2, c2 in row:
+            for _, e2, p2, n2 in row:
                 key = (_add_expo(e1, e2), _add_expo(p1, p2))
-                c = c1 * c2
-                out[key] = out[key] + c if key in out else c
-        return TimesSeries._make(out, bound)
+                out[key] = out.get(key, 0) + n1 * n2
+        den = d1 * d2
+        return TimesSeries._make({k: Fraction(n, den) for k, n in out.items()}, bound)
 
     __rmul__ = __mul__
 

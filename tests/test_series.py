@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from opertau.errors import NotIntegrable, NotInvertible
 from opertau.series import DualSeries, TruncSeries, tpoly
 
-from .conftest import random_poly
+from .conftest import complete_series, random_poly, series_claims_hold
+
+F = Fraction
 
 
 def series_strategy(order=10):
@@ -73,6 +75,124 @@ class TestMul:
         prod = a * a
         assert prod == TruncSeries(-18, [1, 4, 4] + [0] * 18, 3)
         assert (dict(prod.items()), prod.order) == brute_convolution(a, a)
+
+
+def reference_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """The Fraction convolution loop that ``*`` replaced: one Fraction
+    ``+=`` per term pair, rebuilt through the public constructor."""
+    if a.is_zero or b.is_zero:
+        return TruncSeries.zero(min(a.order + b.pole, b.order + a.pole))
+    pole = a.pole + b.pole
+    order = min(a.order + b.pole, b.order + a.pole)
+    cs = [Fraction(0)] * (order - pole)
+    for i, x in a.items():
+        if i + b.pole >= order:
+            break
+        for j, y in b.items():
+            k = i + j
+            if k >= order:
+                break
+            cs[k - pole] += x * y
+    return TruncSeries(pole, cs, order)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+KERNEL_CASES = {
+    "negative poles": (tpoly({-3: F(1, 2), -1: 2, 2: F(-5, 7)}), tpoly({-2: 3, 0: F(1, 3)})),
+    "unequal orders": (
+        TruncSeries(-1, [F(2, 3), 0, 1, F(-1, 4), 5, F(1, 6)], 5),
+        TruncSeries(0, [1, F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 7), F(1, 8), 9], 9),
+    ),
+    "zeros inside the window": (
+        TruncSeries(0, [F(1, 3), 0, 0, F(2, 5), 0, 0, 0, F(-1, 2)], 8),
+        TruncSeries(-2, [4, 0, F(-3, 7), 0, 0, 1, 0, 0, 0, 0], 8),
+    ),
+    "coefficients that cancel": (
+        TruncSeries(0, [1] * 10, 10),  # 1 / (1 - t) through t^9
+        tpoly({0: 1, 1: -1}, order=14),
+    ),
+    "many distinct denominators": (
+        TruncSeries(-4, [F((-1) ** i * (i + 1), p) for i, p in enumerate(PRIMES)], 8),
+        TruncSeries(1, [F(p, p * p + 1) for p in PRIMES[:9]], 10),
+    ),
+    "short polynomials in a wide window": (
+        tpoly({0: F(1, 2), 2: 3}, order=16),
+        tpoly({-1: F(-2, 3), 0: F(5, 4)}, order=16),
+    ),
+    "trailing zeros meet the window's end": (
+        TruncSeries(0, [1, F(1, 2), 0, 0, F(1, 3), 0], 6),
+        TruncSeries(0, [F(2, 5), 0, 0, F(-1, 7), 0, 0], 6),
+    ),
+    "zero factor": (TruncSeries.zero(5), tpoly({-2: F(1, 3), 0: 1})),
+    "zero factor with a negative order": (tpoly({1: F(-2, 9)}, order=6), TruncSeries.zero(-3)),
+    "deep pole times a short window": (
+        TruncSeries(-9, [F(1, 2), F(-1, 3), F(1, 5)], -6),
+        TruncSeries(-1, [F(k + 1, k + 2) for k in range(13)], 12),
+    ),
+}
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_equals_fraction_loop(self, case):
+        a, b = KERNEL_CASES[case]
+        for x, y in ((a, b), (b, a)):
+            got, want = x * y, reference_mul(x, y)
+            assert (got.pole, got.order, got.coeffs) == (want.pole, want.order, want.coeffs)
+            assert all(type(c) is Fraction for c in got.coeffs)
+
+    def test_cancelling_product_is_exactly_one(self):
+        a, b = KERNEL_CASES["coefficients that cancel"]
+        prod = a * b
+        assert prod.is_one and prod.coeffs == (1,) + (0,) * 9
+
+    def test_pole_sits_at_the_sum_of_poles(self):
+        # a product of canonical factors has lowest coefficient a_0 b_0 != 0,
+        # so the pole never moves up; the trusted constructor still strips
+        for a, b in KERNEL_CASES.values():
+            if not (a.is_zero or b.is_zero):
+                assert (a * b).pole == a.pole + b.pole
+        s = TruncSeries._make(-3, [F(0), F(0), F(1, 2), F(0)], 1)
+        assert (s.pole, s.coeffs, s.order) == (-1, (F(1, 2), F(0)), 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_strategy(), series_strategy())
+    def test_random_against_fraction_loop(self, a, b):
+        got, want = a * b, reference_mul(a, b)
+        assert (got.pole, got.order, got.coeffs) == (want.pole, want.order, want.coeffs)
+
+
+# fractional coefficients with zeros, poles down to -6 and widths 0..8
+fraction_series = st.builds(
+    lambda pole, coeffs: TruncSeries(pole, coeffs, pole + len(coeffs)),
+    st.integers(min_value=-6, max_value=3),
+    st.lists(st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=7)),
+             max_size=8),
+)
+seeds = st.integers(min_value=0, max_value=2**32)
+
+
+class TestCompletionOracle:
+    """A result claims only coefficients that every completion of its inputs
+    (random coefficients from each input's ``order`` on) agrees on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_series, fraction_series, seeds)
+    def test_mul(self, a, b, seed):
+        rng = random.Random(seed)
+        series_claims_hold(a * b, complete_series(a, rng) * complete_series(b, rng))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_series, fraction_series, seeds)
+    def test_add(self, a, b, seed):
+        rng = random.Random(seed)
+        series_claims_hold(a + b, complete_series(a, rng) + complete_series(b, rng))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_series.filter(lambda s: not s.is_zero), seeds)
+    def test_invert(self, a, seed):
+        series_claims_hold(a.invert(), complete_series(a, random.Random(seed)).invert())
 
 
 class TestDerivative:

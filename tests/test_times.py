@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from opertau.times import ZERO_KEY, TimesSeries, _min_bound, _trim, weight
 
+from .conftest import claims_hold, complete
+
 F = Fraction
 
 
@@ -257,45 +259,68 @@ class TestKernelEqualsReference:
             TimesSeries({((1, -1), ()): 1}, None)
 
 
-# -- completion oracle: a truncated result may claim only coefficients that
-# every completion of its inputs agrees on -------------------------------------
+# -- the integer product kernel against the Fraction pair loop ----------------
 
-ORACLE_TOP = 7
-
-
-def _monomials(top):
-    """Monomials in t1, t2, t3, t'1 of weight <= top."""
-    out = []
-    for a in range(top + 1):
-        for b in range(top // 2 + 1):
-            for c in range(top // 3 + 1):
-                for d in range(top + 1):
-                    key = (_trim((a, b, c)), _trim((d,)))
-                    if weight(key) <= top:
-                        out.append(key)
-    return out
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
-MONOMIALS = _monomials(ORACLE_TOP)
+def _mixed(bound, keys):
+    """A series on ``keys`` whose coefficients have many distinct denominators."""
+    return TimesSeries(
+        {k: F((-1) ** i * (i + 1), PRIMES[i % len(PRIMES)] ** (1 + i // len(PRIMES)))
+         for i, k in enumerate(keys)},
+        bound,
+    )
 
 
-def complete(s, rng):
-    """``s`` with random coefficients on unknown monomials up to ORACLE_TOP."""
-    if s.bound is None:
-        return s
-    terms = dict(s.terms)
-    for key in MONOMIALS:
-        if weight(key) > s.bound and rng.random() < 0.5:
-            terms[key] = F(rng.randint(-3, 3), rng.randint(1, 3))
-    return TimesSeries(terms, ORACLE_TOP)
+T1, T2, T3, P1, P2 = ((1,), ()), ((0, 1), ()), ((0, 0, 1), ()), ((), (1,)), ((), (0, 1))
+KERNEL_CASES = {
+    "exact polynomials": (
+        TimesSeries({ZERO_KEY: F(1, 2), T1: F(-2, 3), T2: 5}, None),
+        TimesSeries({T1: F(3, 4), T3: F(1, 6)}, None),
+    ),
+    "finite bound cuts rows": (
+        TimesSeries({ZERO_KEY: 1, T1: F(1, 3), T2: F(-1, 5), T3: F(2, 7)}, 4),
+        TimesSeries({T1: F(1, 2), T2: F(3, 8), ((2,), ()): F(-1, 9)}, 3),
+    ),
+    "bound None meets a finite bound": (
+        TimesSeries({T1: F(5, 2), T3: F(-1, 4)}, None),
+        TimesSeries({ZERO_KEY: F(2, 3), T2: F(1, 10)}, 3),
+    ),
+    "primed keys": (
+        TimesSeries({P1: F(1, 3), ((1,), (1,)): F(-2, 5), P2: 4}, 5),
+        TimesSeries({ZERO_KEY: F(7, 2), P1: F(-1, 6), ((2,), (0, 1)): F(1, 4)}, 6),
+    ),
+    "cross terms cancel": (
+        TimesSeries({T1: F(1, 2), T2: F(1, 3)}, None),
+        TimesSeries({T1: F(1, 2), T2: F(-1, 3)}, None),
+    ),
+    "many distinct denominators": (
+        _mixed(6, [ZERO_KEY, T1, T2, T3, P1, P2, ((2,), ()), ((1, 1), ()), ((1,), (1,)),
+                   ((3,), ()), ((0, 2), ()), ((1, 0, 1), ())]),
+        _mixed(None, [ZERO_KEY, P1, T2, ((1,), (1,)), ((0, 0, 2), ()), ((), (0, 0, 1))]),
+    ),
+    "zero factor": (TimesSeries.zero(4), TimesSeries({T1: F(1, 3)}, None)),
+    "zero factor without bound": (TimesSeries({T2: F(-1, 7)}, 5), TimesSeries.zero(None)),
+}
 
 
-def claims_hold(claimed, full):
-    assert full.bound is None or (claimed.bound is not None and claimed.bound <= full.bound)
-    for key in set(claimed.terms) | set(full.terms):
-        if claimed.bound is None or weight(key) <= claimed.bound:
-            assert claimed.coeff(key) == full.coeff(key), key
+class TestIntegerKernel:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_equals_fraction_pair_loop(self, case):
+        a, b = KERNEL_CASES[case]
+        for x, y in ((a, b), (b, a)):
+            got, want = x * y, reference_mul(x, y)
+            assert got.bound == want.bound
+            assert got.terms == want.terms
+            assert all(type(c) is Fraction for c in got.terms.values())
 
+    def test_cancelled_cross_term_leaves_no_key(self):
+        a, b = KERNEL_CASES["cross terms cancel"]
+        assert (a * b).terms == {((2,), ()): F(1, 4), ((0, 2), ()): F(-1, 9)}
+
+
+# -- completion oracle (``complete`` and ``claims_hold`` live in conftest) ----
 
 oracle_bounds = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
 seeds = st.integers(min_value=0, max_value=2**32)
