@@ -59,11 +59,12 @@ def dressing(S, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     r0 = L.terms[n - 1] * Fraction(1, n) if n - 1 in L.terms else None
     K = {0: _solve_linear_ode(r0, None, order, head=1)}  # the nonzero w_p, by d-order -p
     derivs: dict[int, list] = {}
+    rows: dict[int, tuple] = {}
     for p in range(1, -target + 1):
         if order - p < 2:
             target = 1 - p  # w_p(0) = 0 is all that is known of w_p
             break
-        total = _compose_coeff(L.terms, K, n - 1 - p, derivs)
+        total = _compose_coeff(L.terms, K, n - 1 - p, derivs, rows)
         rhs = None if total is None else total * Fraction(1, n)
         w = _solve_linear_ode(r0, rhs, order - p, head=0)
         if not w.is_zero:

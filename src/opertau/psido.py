@@ -5,6 +5,11 @@ A :class:`PsiDO` stores finitely many coefficients a_i of sum a_i(t) d^i
 operator is exact: absent orders are exact zeros.  ``depth=d`` means orders
 below d were discarded; every operation records the worst depth actually
 trusted in its result so comparisons never overreach the computed window.
+
+Each coefficient of a product is a sum of binomial products C(i,k) a b^(k),
+accumulated in integers by ``series._dot``.  The derivatives b^(k) are kept
+as integer rows: each step multiplies the numerators by the exponents over
+the same denominator, so no ``Fraction`` is built along a chain.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadArgument, NotMonic, TailOverflow
-from .series import DualSeries, TruncSeries
+from .series import DualSeries, TruncSeries, _dot, _factor, _factor_derivative
 
 # deepest d-order kept where an expansion does not terminate, unless the
 # caller passes another
@@ -187,6 +192,7 @@ def compose(A: PsiDO, B: PsiDO, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     if B.depth is not None:
         trusted = _depth_max(trusted, B.depth + max(A.terms))
     derivs: dict[int, list] = {}
+    rows: dict[int, tuple] = {}
     if min(A.terms) >= 0:
         lowest = min(B.terms)  # each d^i b_j^(k) d^(j-k) has k <= i
     else:
@@ -202,36 +208,38 @@ def compose(A: PsiDO, B: PsiDO, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
         raise TailOverflow("no trusted orders remain in the composition")
     out: dict[int, TruncSeries | DualSeries] = {}
     for o in range(A.top + B.top, _depth_max(lowest, trusted) - 1, -1):
-        c = _compose_coeff(A.terms, B.terms, o, derivs)
+        c = _compose_coeff(A.terms, B.terms, o, derivs, rows)
         if c is not None:
             out[o] = c
     return PsiDO(out, trusted)
 
 
 def _derivative(B: dict, j: int, k: int, derivs: dict[int, list]):
-    """k-th derivative of the coefficient B[j], or None once the chain dies.
+    """k-th derivative of the coefficient B[j] as integer rows (a factor of
+    ``series._dot``), or None once the chain dies.
 
-    ``derivs`` memoizes the chain of each B[j]; reuse it only while those
-    coefficients stay fixed.
+    ``derivs`` memoizes the chain of each B[j], which ends in None once a
+    derivative is zero; reuse it only while those coefficients stay fixed.
     """
     chain = derivs.get(j)
     if chain is None:
-        chain = derivs[j] = [B[j]]
-    while len(chain) <= k and not chain[-1].is_zero:
-        chain.append(chain[-1].derivative())
-    if k >= len(chain) or chain[k].is_zero:
-        return None  # derivative chain died: exact termination
-    return chain[k]
+        chain = derivs[j] = [None if B[j].is_zero else _factor(B[j])]
+    while len(chain) <= k and chain[-1] is not None:
+        chain.append(_factor_derivative(chain[-1]))
+    return chain[k] if k < len(chain) else None  # None: exact termination
 
 
-def _compose_coeff(A: dict, B: dict, o: int, derivs: dict[int, list]):
+def _compose_coeff(A: dict, B: dict, o: int, derivs: dict[int, list], rows: dict[int, tuple]):
     """Coefficient of d^o in A∘B for coefficient dicts A and B; None if zero.
 
     ``compose``, ``nth_root`` and ``dressing`` sum the binomial rule here, one
-    order per call: zero factors are skipped and a zero sum is absent.
-    ``derivs`` memoizes derivative chains as in ``_derivative``.
+    order per call, as one ``series._dot`` of the products
+    C(i, k) a_i b_j^(k): dead derivatives are skipped and a zero sum is absent.
+    ``derivs`` memoizes derivative chains as in ``_derivative``; ``rows``
+    memoizes the integer rows of A's coefficients by identity, and holds each
+    coefficient so that its id stays its own.
     """
-    total = None
+    triples = []
     for j in B:
         for i, a in A.items():
             k = i + j - o
@@ -240,12 +248,14 @@ def _compose_coeff(A: dict, B: dict, o: int, derivs: dict[int, list]):
             bk = _derivative(B, j, k, derivs)
             if bk is None:
                 continue
-            coef = _binom(i, k)
-            term = a * bk if coef == 1 else (a * bk) * Fraction(coef)
-            total = term if total is None else total + term
-    if total is None or total.is_zero:
+            hit = rows.get(id(a))
+            if hit is None:
+                hit = rows[id(a)] = (a, _factor(a))
+            triples.append((_binom(i, k), hit[1], bk))
+    if not triples:
         return None
-    return total
+    total = _dot(triples)
+    return None if total.is_zero else total
 
 
 def power(A: PsiDO, e: int, lo: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
@@ -335,13 +345,14 @@ def nth_root(L: PsiDO, n: int, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     target = depth if L.depth is None else max(depth, L.depth - n + 1)
     R = {1: top}  # reuse the (possibly dual) exact-1 coefficient
     derivs: dict[int, list] = {}  # derivative chains of the r_j, by j
+    rows: dict[int, tuple] = {}  # integer rows of the powers' coefficients
     # powers[k]: the coefficients of R^k computed so far (powers[1] is R)
     powers = [None, R] + [{} for _ in range(2, n)]
 
     def fill(m: int) -> None:
         """The d^(m+k-1) coefficient of R^k, k = 2..n-1, from R as it stands."""
         for k in range(2, n):
-            c = _compose_coeff(powers[k - 1], R, m + k - 1, derivs)
+            c = _compose_coeff(powers[k - 1], R, m + k - 1, derivs, rows)
             if c is None:
                 powers[k].pop(m + k - 1, None)
             else:
@@ -351,7 +362,7 @@ def nth_root(L: PsiDO, n: int, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     for m in range(0, target - 1, -1):
         fill(m)  # provisional: r_m is not in R yet
         want = n - 1 + m
-        got = _compose_coeff(powers[n - 1], R, want, derivs)
+        got = _compose_coeff(powers[n - 1], R, want, derivs, rows)
         have = L.terms.get(want)
         if got is not None:
             have = -got if have is None else have + (-got)

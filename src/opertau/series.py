@@ -7,11 +7,12 @@ computes the window actually supported by its inputs instead of silently
 widening it; mixing two windows yields the intersection of knowledge.
 
 All scalars are :class:`fractions.Fraction`.  There is no floating point
-anywhere in this package.  Products accumulate integers internally: each
-factor becomes integer numerators over the lcm of its denominators (the
-common-denominator layout of FLINT's ``fmpq_poly``), and each output
-coefficient is made once, as one canonical ``Fraction``, from its integer sum
-over the product of the two denominators.
+anywhere in this package.  Sums of products accumulate integers internally:
+each factor becomes an integer row, its numerators over the lcm of its
+denominators (the common-denominator layout of FLINT's ``fmpq_poly``).
+``_dot`` adds every product c·a·b of a sum into one integer list over one
+common denominator and makes each output coefficient once, as one canonical
+``Fraction``; a single product ``a * b`` is the one-term sum.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Collection, Iterable, Union
+from typing import Collection, Iterable, Sequence, Union
 
 from .errors import NotIntegrable, NotInvertible
 
@@ -52,6 +53,106 @@ def _rstrip(cs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return cs[:end]
 
 
+def _row(s: "TruncSeries", width: int | None = None) -> tuple[int, int, list[int], int]:
+    """Canonical integer row ``(pole, order, nums, den)`` of ``s``.
+
+    ``nums`` runs from t^pole (nonzero) through the last nonzero coefficient
+    among the first ``width`` (all by default), over the lcm ``den`` of their
+    denominators; a zero series has no ``nums`` and its pole at its order.
+    """
+    cs = s.coeffs[:width]
+    if not cs:
+        return s.pole, s.order, [], 1
+    nums, den = _integer_row(_rstrip(cs))
+    return s.pole, s.order, nums, den
+
+
+def _factor(x: "TruncSeries | DualSeries") -> tuple:
+    """``x`` as ``_dot`` reads it: ``(row,)`` or, for a DualSeries, ``(re, du)``."""
+    if isinstance(x, DualSeries):
+        return _row(x.re), _row(x.du)
+    return (_row(x),)
+
+
+def _factor_derivative(f: tuple) -> tuple | None:
+    """d/dt of a factor, row by row, or None when every row of it is zero.
+
+    c t^e becomes e c t^(e-1) over the same den.  Only t^0 dies, so new zeros
+    sit at the ends of a row only.
+    """
+    out = []
+    for pole, order, nums, den in f:
+        nums = [e * c for e, c in enumerate(nums, pole)]
+        lo, hi = 0, len(nums)
+        while lo < hi and not nums[lo]:
+            lo += 1
+        while hi > lo and not nums[hi - 1]:
+            hi -= 1
+        if lo == hi:
+            out.append((order - 1, order - 1, [], 1))  # zero: pole at the order
+        else:
+            out.append((pole + lo - 1, order - 1, nums[lo:hi], den))
+    return tuple(out) if any(row[2] for row in out) else None
+
+
+def _du(f: tuple) -> tuple[int, int, list[int], int]:
+    """The eps part of a factor; a TruncSeries x counts as x + (0 + O(t^x.order)) eps."""
+    if len(f) == 2:
+        return f[1]
+    order = f[0][1]
+    return order, order, [], 1
+
+
+def _dot(triples: list) -> "TruncSeries | DualSeries":
+    """Σ c·a·b over ``(c, a, b)``: ``int`` c, factors ``a``, ``b`` from ``_factor``.
+
+    The sum is a DualSeries when any factor is one: re·re, and re·du + du·re,
+    are each one ``_sum_rows`` call.  Every window is the one the products and
+    sums of the series would give one at a time.
+    """
+    re = _sum_rows([(c, a[0], b[0]) for c, a, b in triples])
+    if all(len(a) == len(b) == 1 for _, a, b in triples):
+        return re
+    du = _sum_rows([(c, a[0], _du(b)) for c, a, b in triples]
+                   + [(c, _du(a), b[0]) for c, a, b in triples])
+    return DualSeries(re, du)
+
+
+def _sum_rows(triples: list) -> "TruncSeries":
+    """Σ c·a·b over ``(c, a, b)`` with ``int`` c and integer rows a, b.
+
+    The window is min(a.order + b.pole, b.order + a.pole) over all triples,
+    zero factors included.  Every product goes into one ``int`` list scaled
+    by D / (d_a·d_b), D the lcm of those denominators, and each exponent
+    becomes one ``Fraction``.
+    """
+    order = min([min(pa + ob, oa + pb) for _, (pa, oa, _, _), (pb, ob, _, _) in triples])
+    live = [t for t in triples if t[1][2] and t[2][2]]
+    pole = min([a[0] + b[0] for _, a, b in live], default=order)
+    if pole >= order:
+        return TruncSeries._make(order, [], order)
+    den = lcm(*[a[3] * b[3] for _, a, b in live])
+    acc = [0] * (order - pole)
+    for c, (pa, _, a, da), (pb, _, b, db) in live:
+        n = order - pa - pb  # exponents of this product inside the window
+        if n <= 0:
+            continue
+        a = a[:n]
+        b = b[:n][::-1]
+        last = len(b) - 1
+        end = min(n, len(a) + last)  # t^(pa + pb + k) is 0 from k = end on
+        scale = den // (da * db) * c
+        off = pa + pb - pole
+        # t^(pa + pb + k) collects a_i b_(k - i) as one integer sum over the
+        # reversed b; map stops at the end of the shorter slice
+        for k in range(min(last, end)):
+            acc[off + k] += scale * sum(map(mul, a, b[last - k:]))
+        for k in range(last, end):
+            acc[off + k] += scale * sum(map(mul, a[k - last:], b))
+    zero = Fraction(0)
+    return TruncSeries._make(pole, [Fraction(x, den) if x else zero for x in acc], order)
+
+
 class TruncSeries:
     """Laurent series with exact coefficients on the window [pole, order)."""
 
@@ -63,7 +164,7 @@ class TruncSeries:
             raise ValueError("coefficient count must equal order - pole")
         self._assign(pole, cs, order)
 
-    def _assign(self, pole: int, cs: list[Fraction], order: int) -> None:
+    def _assign(self, pole: int, cs: Sequence[Fraction], order: int) -> None:
         # canonical form: exact leading zeros are absorbed into the pole
         lead = 0
         while lead < len(cs) and not cs[lead]:
@@ -73,7 +174,7 @@ class TruncSeries:
         self.order = order
 
     @classmethod
-    def _make(cls, pole: int, cs: list[Fraction], order: int) -> "TruncSeries":
+    def _make(cls, pole: int, cs: Sequence[Fraction], order: int) -> "TruncSeries":
         """Trusted constructor: ``cs`` holds one ``Fraction`` per exponent of
         [pole, order); only the exact leading zeros are stripped here."""
         s = object.__new__(cls)
@@ -152,7 +253,7 @@ class TruncSeries:
         return hash((self.pole, self.order, self.coeffs))
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.pole, [-c for c in self.coeffs], self.order)
+        return TruncSeries._make(self.pole, [-c for c in self.coeffs], self.order)
 
     def __add__(self, other) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
@@ -170,7 +271,7 @@ class TruncSeries:
             for k, c in src.items():
                 if k < order:
                     cs[k - pole] += c
-        return TruncSeries(pole, cs, order)
+        return TruncSeries._make(pole, cs, order)
 
     __radd__ = __add__
 
@@ -187,27 +288,13 @@ class TruncSeries:
             c = rat(other)
             if c == 0:
                 return TruncSeries.zero(self.order)
-            return TruncSeries(self.pole, [c * a for a in self.coeffs], self.order)
+            return TruncSeries._make(self.pole, [c * a for a in self.coeffs], self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            # product window still shrinks with the truncated factor
-            return TruncSeries.zero(min(self.order + other.pole, other.order + self.pole))
-        pole = self.pole + other.pole
-        order = min(self.order + other.pole, other.order + self.pole)
-        n = order - pole  # = the shorter factor's width
-        a, da = _integer_row(_rstrip(self.coeffs[:n]))
-        b, db = _integer_row(_rstrip(other.coeffs[:n]))
-        b.reverse()
-        last = len(b) - 1
-        m = min(n, len(a) + last)  # t^(pole + k) is 0 from k = m on
-        den = da * db
-        # t^(pole + k) collects a_i b_(k - i) as one integer sum; map stops
-        # at the end of the shorter slice
-        cs = [Fraction(sum(map(mul, a[max(k - last, 0):], b[max(last - k, 0):])), den)
-              for k in range(m)]
-        cs += [Fraction(0)] * (n - m)
-        return TruncSeries._make(pole, cs, order)
+        # the window is as wide as the narrower factor: no coefficient past it
+        # reaches the product
+        n = min(self.order - self.pole, other.order - other.pole)
+        return _sum_rows([(1, _row(self, n), _row(other, n))])
 
     __rmul__ = __mul__
 
@@ -215,11 +302,11 @@ class TruncSeries:
         if order >= self.order:
             return self
         n = max(0, order - self.pole)
-        return TruncSeries(min(self.pole, order), self.coeffs[:n], order)
+        return TruncSeries._make(min(self.pole, order), self.coeffs[:n], order)
 
     def derivative(self) -> "TruncSeries":
         cs = [(self.pole + k) * c for k, c in enumerate(self.coeffs)]
-        return TruncSeries(self.pole - 1, cs, self.order - 1)
+        return TruncSeries._make(self.pole - 1, cs, self.order - 1)
 
     def antiderivative(self) -> "TruncSeries":
         """Termwise antiderivative with constant 0; fails on a t^-1 term."""
@@ -329,8 +416,7 @@ class DualSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return DualSeries(self.re * other, self.du * other)
-        o = self._coerce(other)
-        return DualSeries(self.re * o.re, self.re * o.du + self.du * o.re)
+        return _dot([(1, _factor(self), _factor(self._coerce(other)))])
 
     __rmul__ = __mul__
 

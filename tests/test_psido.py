@@ -7,12 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opertau import jsonio
+from opertau import krichever as krichever_mod
+from opertau import psido as psido_mod
 from opertau.errors import NotMonic, TailOverflow
 from opertau.kdv import conserved_density
+from opertau.krichever import dressing
 from opertau.oper import ScalarOper
 from opertau.psido import (
     DEFAULT_TAIL_DEPTH,
     PsiDO,
+    _binom,
+    _compose_coeff,
+    _derivative,
     commutator,
     compose,
     invert_monic0,
@@ -24,6 +30,7 @@ from opertau.psido import (
 from opertau.series import DualSeries, TruncSeries, tpoly
 
 from .conftest import random_poly
+from .test_series import reference_mul
 
 
 def D(k=1, order=12):
@@ -369,3 +376,171 @@ def test_zero_density_keeps_window(case):
     want = residue(reference_power(reference_root(S.to_psido(), S.n, -s), s, -s))
     assert got.is_zero
     assert got == want
+
+
+# -- the integer sum-of-products kernel against the Fraction chain it replaced --
+
+
+def reference_product(a, b):
+    """One product as the series did it before the kernel: the Fraction
+    convolution loop, and for a DualSeries re·re and re·du + du·re, with a
+    TruncSeries x read as x + (0 + O(t^x.order)) eps."""
+    if not (isinstance(a, DualSeries) or isinstance(b, DualSeries)):
+        return reference_mul(a, b)
+    a, b = (x if isinstance(x, DualSeries) else DualSeries(x) for x in (a, b))
+    return DualSeries(reference_mul(a.re, b.re),
+                      reference_mul(a.re, b.du) + reference_mul(a.du, b.re))
+
+
+def reference_compose_coeff(A, B, o, derivs=None, rows=None):
+    """The old chain: derivatives of Fraction series, ``(a * bk) *
+    Fraction(coef)`` per term, summed by ``total + term``."""
+    total = None
+    for j in B:
+        for i, a in A.items():
+            k = i + j - o
+            if k < 0 or (i >= 0 and k > i):
+                continue
+            bk = B[j]
+            for _ in range(k):
+                bk = bk.derivative()
+            if bk.is_zero:
+                continue  # derivative chain died
+            term = reference_product(a, bk) * Fraction(_binom(i, k))
+            total = term if total is None else total + term
+    if total is None or total.is_zero:
+        return None
+    return total
+
+
+def same(got, want) -> bool:
+    """Equal pole, order and Fraction coefficients (both parts of a dual)."""
+    if isinstance(want, DualSeries):
+        return isinstance(got, DualSeries) and same(got.re, want.re) and same(got.du, want.du)
+    return (type(got) is TruncSeries
+            and (got.pole, got.order, got.coeffs) == (want.pole, want.order, want.coeffs)
+            and all(type(c) is Fraction for c in got.coeffs))
+
+
+def fseries(rng, pole, order, degree=None, dens=(1, 2, 3, 5, 7)):
+    """Random Fraction series on [pole, order), dense or through t^(pole + degree)."""
+    width = order - pole
+    top = width if degree is None else min(width, degree + 1)
+    cs = [Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(top)]
+    cs[0] = cs[0] or Fraction(1, 2)
+    return TruncSeries(pole, cs + [0] * (width - top), order)
+
+
+def random_operator(rng, orders, dual_share=0.0, pole_lo=-2):
+    terms = {}
+    for i in orders:
+        pole = rng.randint(pole_lo, 1)
+        s = fseries(rng, pole, pole + rng.randint(3, 9), rng.choice((0, 1, 2, 3, None)))
+        if rng.random() < dual_share:
+            s = DualSeries(s, fseries(rng, pole, pole + rng.randint(3, 9), rng.choice((0, 2, None))))
+        terms[i] = s
+    return terms
+
+
+COEFF_CASES = {
+    # B[0] = t^2 / 3: its third derivative is zero, so k = 3 terms drop out
+    "derivative chain dies": (
+        {3: tpoly({0: 1}), 1: tpoly({1: Fraction(1, 2)})}, {0: tpoly({2: Fraction(1, 3)})}, 0),
+    # (2 + t^3)' = 3 t^2: the constant leaves a zero at the row's front
+    "constant derivative leaves a leading zero": (
+        {2: tpoly({0: Fraction(1, 5), 1: 1}, 9)}, {0: tpoly({0: 2, 3: 1}, 11), -1: tpoly({0: 3})}, 1),
+    "mixed TruncSeries and DualSeries": (
+        {1: DualSeries(tpoly({0: 1}, 9), tpoly({1: Fraction(-2, 3)}, 7)), 0: tpoly({0: 2, 2: 1}, 8)},
+        {0: tpoly({1: Fraction(3, 4), 2: 1}, 10), -1: DualSeries(TruncSeries.zero(6), tpoly({0: 5}, 8))},
+        0),
+    "unequal orders and negative poles": (
+        {1: tpoly({-2: Fraction(1, 3), 0: 2}, 4), -1: tpoly({-1: Fraction(-5, 2), 1: 1}, 9)},
+        {0: tpoly({-3: Fraction(2, 7), -1: 1, 2: Fraction(1, 9)}, 6), -2: tpoly({1: 4}, 11)},
+        -1),
+    # 1·(-t) + t·1 and the dead derivative of the constant: the sum is zero
+    "sum cancels to None": ({1: tpoly({0: 1}), 0: tpoly({1: 1})}, {0: tpoly({1: -1}), 1: tpoly({0: 1})}, 1),
+    # the same with -t + t^3 / 2: only t^3 / 2 is left, so the pole moves up
+    "low terms cancel": (
+        {1: tpoly({0: 1}), 0: tpoly({1: 1})}, {0: tpoly({1: -1, 3: Fraction(1, 2)}), 1: tpoly({0: 1})}, 1),
+}
+
+
+class TestSumKernel:
+    @pytest.mark.parametrize("case", sorted(COEFF_CASES))
+    def test_compose_coeff_equals_fraction_chain(self, case):
+        A, B, o = COEFF_CASES[case]
+        got = _compose_coeff(A, B, o, {}, {})
+        want = reference_compose_coeff(A, B, o)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert same(got, want)
+
+    def test_case_shapes(self):
+        A, B, o = COEFF_CASES["derivative chain dies"]
+        assert _derivative(B, 0, 3, {}) is None and _derivative(B, 0, 2, {}) is not None
+        A, B, o = COEFF_CASES["constant derivative leaves a leading zero"]
+        assert _derivative(B, 0, 1, {}) == ((2, 10, [3], 1),)  # 3 t^2 + O(t^10)
+        assert reference_compose_coeff(*COEFF_CASES["sum cancels to None"]) is None
+        got = _compose_coeff(*COEFF_CASES["low terms cancel"], {}, {})
+        assert (got.pole, got.coeffs[0], got.order) == (3, Fraction(1, 2), 12)
+
+    def test_compose_coeff_every_order_random(self, rng):
+        for trial in range(40):
+            A = random_operator(rng, rng.sample(range(-2, 4), 3), dual_share=0.3 * (trial % 2))
+            B = random_operator(rng, rng.sample(range(-2, 3), 2), dual_share=0.3 * (trial % 3 == 0))
+            derivs, rows = {}, {}
+            for o in range(max(A) + max(B), min(A) + min(B) - 4, -1):
+                got = _compose_coeff(A, B, o, derivs, rows)
+                want = reference_compose_coeff(A, B, o)
+                assert (got is None) == (want is None)
+                assert want is None or same(got, want)
+
+    @pytest.fixture
+    def reference_chain(self, monkeypatch):
+        def use():
+            monkeypatch.setattr(psido_mod, "_compose_coeff", reference_compose_coeff)
+            monkeypatch.setattr(krichever_mod, "_compose_coeff", reference_compose_coeff)
+        return use
+
+    def test_compose_equals_fraction_chain(self, rng, reference_chain):
+        pairs = []
+        for trial in range(16):
+            A = PsiDO(random_operator(rng, rng.sample(range(-1, 3), 2), dual_share=0.3 * (trial % 2)))
+            B = PsiDO(random_operator(rng, rng.sample(range(-2, 3), 2), dual_share=0.3 * (trial % 3 == 0)))
+            pairs.append((A, B))
+        got = [compose(A, B, -4) for A, B in pairs]
+        reference_chain()
+        assert got == [compose(A, B, -4) for A, B in pairs]
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_nth_root_equals_fraction_chain(self, rng, reference_chain, dual):
+        ops = []
+        for n in (2, 3, 2, 3):
+            order = rng.randint(7, 10)
+            top = TruncSeries.one(order)
+            L = random_operator(rng, range(n), dual_share=0.5 * dual, pole_lo=0)
+            L[n] = DualSeries(top) if dual else top
+            ops.append((n, PsiDO(L)))
+        got = [nth_root(L, n, depth=-5) for n, L in ops]
+        reference_chain()
+        assert got == [nth_root(L, n, depth=-5) for n, L in ops]
+
+    def test_dressing_equals_fraction_chain(self, rng, reference_chain):
+        ops = []
+        for n in (2, 3):
+            L = {i: fseries(rng, 0, 10, rng.choice((1, 2, None))) for i in range(n - 1)}
+            L[n] = TruncSeries.one(10)
+            ops.append(PsiDO(L))
+        got = [dressing(L, -6) for L in ops]
+        reference_chain()
+        assert got == [dressing(L, -6) for L in ops]
+
+    def test_dual_mul_equals_fraction_chain(self, rng):
+        for _ in range(30):
+            x = fseries(rng, rng.randint(-3, 1), rng.randint(2, 8))
+            y = fseries(rng, rng.randint(-3, 1), rng.randint(2, 8), rng.choice((1, None)))
+            z = fseries(rng, rng.randint(-3, 1), rng.randint(2, 8))
+            zero = TruncSeries.zero(rng.randint(-1, 6))
+            for a, b in ((DualSeries(x, y), DualSeries(z, x)), (DualSeries(x, y), z),
+                         (z, DualSeries(x, y)), (DualSeries(zero, y), DualSeries(x, zero))):
+                assert same(a * b, reference_product(a, b))

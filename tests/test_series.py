@@ -195,6 +195,45 @@ class TestCompletionOracle:
         series_claims_hold(a.invert(), complete_series(a, random.Random(seed)).invert())
 
 
+def rebuilt(pole, values, order):
+    """A series built through the public constructor, which runs rat() on
+    every value and checks the width."""
+    return TruncSeries(pole, values, order)
+
+
+class TestTrustedConstructors:
+    """``-``, scalar ``*``, ``derivative``, ``truncate`` and ``+`` build their
+    results with ``_make``; they equal the public constructor's, Fractions
+    and canonical windows included."""
+
+    CASES = [
+        TruncSeries(-2, [F(1, 2), 0, F(-3, 7), 2, 0], 3),
+        TruncSeries(0, [5, 0, F(1, 3)], 3),  # its derivative drops t^0
+        TruncSeries(-1, [F(2, 9), 0, 0, 0], 3),  # its t^-1 term cancels in x + (-x)
+        TruncSeries.zero(4),
+        tpoly({1: F(-4, 5), 3: 1}, order=7),
+    ]
+
+    @pytest.mark.parametrize("i", range(len(CASES)))
+    def test_equal_to_public_constructor(self, i):
+        x = self.CASES[i]
+        cs, p, o = list(x.coeffs), x.pole, x.order
+        got_want = [
+            (-x, rebuilt(p, [-c for c in cs], o)),
+            (x * 3, rebuilt(p, [3 * c for c in cs], o)),
+            (x * F(-2, 3), rebuilt(p, [F(-2, 3) * c for c in cs], o)),
+            (x.derivative(), rebuilt(p - 1, [(p + k) * c for k, c in enumerate(cs)], o - 1)),
+            (x.truncate(o - 2), rebuilt(min(p, o - 2), cs[:max(0, o - 2 - p)], o - 2)),
+            (x.truncate(p - 1), rebuilt(p - 1, [], p - 1)),
+            (x + (-x), TruncSeries.zero(o)),
+            (x + 2, rebuilt(min(p, 0), [(x.coeff(k) if k >= p else 0) + (k == 0) * 2
+                                        for k in range(min(p, 0), o)], o)),
+        ]
+        for got, want in got_want:
+            assert (got.pole, got.order, got.coeffs) == (want.pole, want.order, want.coeffs)
+            assert all(type(c) is Fraction for c in got.coeffs)
+
+
 class TestDerivative:
     def test_monomials(self):
         assert tpoly({2: 1}).derivative() == tpoly({1: 2}, order=11)

@@ -1,13 +1,17 @@
-"""Wall time of the two product kernels on fixed-seed operands.
+"""Wall time of the product kernels and of `compose` and `nth_root` on
+fixed-seed operands.
 
 Times `TruncSeries * TruncSeries` on windows of width 14-16, dense or
 holding a polynomial of degree 2-6 (the operands of `nth_root`, `compose`
 and the KdV flows), and `TimesSeries * TimesSeries` on 58-term by 16-term
 series at weighted bounds 8 and 12 (the operands of `toda_tau`,
-`tau_determinant` and `hirota_residual`).  Coefficients are fractions with
-mixed small denominators.  Each sample times a fixed batch
-of products; the script prints one JSON object with the median and every
-sample per kernel, in microseconds per product.  It uses only the public
+`tau_determinant` and `hirota_residual`).  On flows-sized operators (monic
+L of order 2 and 3 whose lower coefficients are degree-6 polynomials in
+order-12 windows), it times `nth_root(L, n, -8)` and `compose(R, R, -8)` of
+that root R with itself.  Coefficients are fractions with mixed small
+denominators.  Each sample times a fixed batch of calls; the script prints
+one JSON object with the median and every sample per kernel, in
+microseconds per product or milliseconds per call.  It uses only the public
 API, so it runs unchanged on any checkout of this repository.
 
     python3 tools/time_kernels.py --repeats 11
@@ -22,15 +26,19 @@ import statistics
 import sys
 import time
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from opertau.psido import PsiDO, compose, nth_root  # noqa: E402
 from opertau.series import TruncSeries  # noqa: E402
 from opertau.times import TimesSeries, weight  # noqa: E402
 
 SEED = 25
 PAIRS = 40  # products per sample and kernel
+OPERATORS = 4  # operators per sample for compose and nth_root
+DEPTH = -8  # the tail depth of the flows workload
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27)
 
 
@@ -79,11 +87,25 @@ def times_operands(rng: random.Random) -> list[tuple[TimesSeries, TimesSeries]]:
     return out
 
 
-def _sample_us(pairs) -> float:
+def operator_operands(rng: random.Random) -> list[tuple[int, PsiDO, PsiDO]]:
+    """(n, L, R): monic L of order n = 2, 3, 2, 3 and its root R to DEPTH."""
+    out = []
+    for i in range(OPERATORS):
+        n = (2, 3)[i % 2]
+        terms = {n: TruncSeries.one(12)}
+        for j in range(n):
+            cs = [_coeff(rng) or Fraction(1) for _ in range(7)]
+            terms[j] = TruncSeries(0, cs + [Fraction(0)] * 5, 12)
+        L = PsiDO(terms)
+        out.append((n, L, nth_root(L, n, DEPTH)))
+    return out
+
+
+def _sample(call, operands, scale: float) -> float:
     start = time.perf_counter()
-    for a, b in pairs:
-        a * b
-    return (time.perf_counter() - start) / len(pairs) * 1e6
+    for args in operands:
+        call(*args)
+    return (time.perf_counter() - start) / len(operands) * scale
 
 
 def main(argv=None) -> int:
@@ -93,13 +115,20 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         p.error("--repeats must be at least 1")
     rng = random.Random(SEED)
-    kernels = {"series_mul_us": trunc_operands(rng), "times_mul_us": times_operands(rng)}
+    trunc, times = trunc_operands(rng), times_operands(rng)
+    ops = operator_operands(rng)
+    kernels = {
+        "series_mul_us": (mul, trunc, 1e6),
+        "times_mul_us": (mul, times, 1e6),
+        "compose_ms": (lambda n, L, R: compose(R, R, DEPTH), ops, 1e3),
+        "nth_root_ms": (lambda n, L, R: nth_root(L, n, DEPTH), ops, 1e3),
+    }
     samples: dict[str, list[float]] = {name: [] for name in kernels}
-    for pairs in kernels.values():
-        _sample_us(pairs)  # warm-up
+    for kernel in kernels.values():
+        _sample(*kernel)  # warm-up
     for _ in range(args.repeats):
-        for name, pairs in kernels.items():
-            samples[name].append(_sample_us(pairs))
+        for name, kernel in kernels.items():
+            samples[name].append(_sample(*kernel))
     report = {
         name: {"median": statistics.median(ts), "samples": ts}
         for name, ts in samples.items()
