@@ -33,7 +33,7 @@ from .oper import (
 )
 from .psido import (DEFAULT_TAIL_DEPTH, PsiDO, _binom, _compose_coeff, commutator,
                     compose, invert_monic0)
-from .series import TruncSeries
+from .series import DEFAULT_ORDER, TruncSeries
 
 Window = tuple[int, int]
 
@@ -59,12 +59,11 @@ def dressing(S, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     r0 = L.terms[n - 1] * Fraction(1, n) if n - 1 in L.terms else None
     K = {0: _solve_linear_ode(r0, None, order, head=1)}  # the nonzero w_p, by d-order -p
     derivs: dict[int, list] = {}
-    rows: dict[int, tuple] = {}
     for p in range(1, -target + 1):
         if order - p < 2:
             target = 1 - p  # w_p(0) = 0 is all that is known of w_p
             break
-        total = _compose_coeff(L.terms, K, n - 1 - p, derivs, rows)
+        total = _compose_coeff(L.terms, K, n - 1 - p, derivs)
         rhs = None if total is None else total * Fraction(1, n)
         w = _solve_linear_ode(r0, rhs, order - p, head=0)
         if not w.is_zero:
@@ -76,25 +75,31 @@ def _solve_linear_ode(
     r0: TruncSeries | None, rhs: TruncSeries | None, width: int, head: Fraction | int
 ) -> TruncSeries:
     """Power-series solution of k' + r0 k + rhs = 0 with k(0) = head, cut
-    where r0 or rhs stops being known."""
-    coeffs = [Fraction(head)] + [Fraction(0)] * (width - 1)
+    where r0 or rhs stops being known; t^(m+1) of k reads t^0 .. t^m of r0
+    and rhs."""
+    for f in (r0, rhs):
+        if f is not None:
+            width = min(width, max(f.order, 0) + 1)
+    r, b = _taylor(r0, width - 1), _taylor(rhs, width - 1)
+    coeffs = [Fraction(head)]
     for m in range(width - 1):
-        if any(f is not None and not f.known(m) for f in (r0, rhs)):
-            width = m + 1
-            break
-        total = -rhs.coeff(m) if rhs is not None else Fraction(0)
-        if r0 is not None:
-            for a in range(max(0, r0.pole), m + 1):
-                total -= r0.coeff(a) * coeffs[m - a]
-        coeffs[m + 1] = total / (m + 1)
+        total = -b[m] - sum(r[a] * coeffs[m - a] for a in range(m + 1) if r[a])
+        coeffs.append(total / (m + 1))
     return TruncSeries(0, coeffs[:width], width)
+
+
+def _taylor(f: TruncSeries | None, n: int) -> list[Fraction]:
+    """[t^0] f, ..., [t^(n-1)] f from one read of ``f.coeffs``; zeros for
+    None.  f must know them."""
+    if f is None:
+        return [Fraction(0)] * n
+    cs = f.coeffs
+    return [cs[k - f.pole] if k >= f.pole else Fraction(0) for k in range(n)]
 
 
 def dressing_conjugate(K: PsiDO, n: int) -> PsiDO:
     """K d^n K^-1, for verifying the dressing contract."""
-    order = min(
-        (c.order for c in K.terms.values()), default=TruncSeries.one().order
-    )
+    order = min((c.order for c in K.terms.values()), default=DEFAULT_ORDER)
     return compose(compose(K, PsiDO.d(n, order)), invert_monic0(K))
 
 
@@ -124,7 +129,7 @@ def _wave_columns(S, window: Window) -> list[dict[int, Fraction]]:
         raise BadArgument("window must contain 0")
     if not isinstance(S, ScalarOper):
         K = dressing(S, depth=lo - hi)
-        return [_symbol_column(K, j, lo) for j in range(hi)]
+        return _symbol_columns(K, hi, lo)
     n = S.n
     # row lo of column n - 1 reads [t^s] w_p with s + p = n - 1 - lo
     need_order = max(hi + 2, n - lo)
@@ -133,8 +138,8 @@ def _wave_columns(S, window: Window) -> list[dict[int, Fraction]]:
     # wider coefficient windows only slow the dressing down
     S = ScalarOper(n, tuple(s.truncate(need_order) for s in S.q))
     K = dressing(S, depth=min(0, lo + 2 - n))
-    cols = [_symbol_column(K, j, lo) for j in range(min(n, hi))]
-    qd = [[factorial(s) * q.coeff(s) for s in range(hi + 1)] for q in S.q]  # q_i^(s)(0)
+    cols = _symbol_columns(K, min(n, hi), lo)
+    qd = [[factorial(s) * c for s, c in enumerate(_taylor(q, hi + 1))] for q in S.q]  # q_i^(s)(0)
     for j in range(len(cols), hi):  # every column keeps to rows lo..j
         base = {k + n: v for k, v in cols[j - n].items()}
         for i in range(1, n + 1):
@@ -152,27 +157,38 @@ def krichever_point(S, window: Window) -> GrassPoint:
     return GrassPoint(window, wave_columns(S, window))
 
 
-def _symbol_column(K: PsiDO, j: int, lo: int) -> dict[int, Fraction]:
-    """z-symbol of d^j K = sum C(j, s) w_p^(s) d^(j-s-p) at t = 0, rows >= lo.
+def _symbol_columns(K: PsiDO, count: int, lo: int) -> list[dict[int, Fraction]]:
+    """z-symbols of d^j K = sum C(j, s) w_p^(s) d^(j-s-p) at t = 0, rows >= lo,
+    for j < count.
 
-    As w_0(0) = 1 and w_p(0) = 0 for p >= 1, row m is
-    [m = j] + sum_(s >= 1) C(j, s) s! [t^s] w_(j-s-m).  Raises WindowOverflow
+    As w_0(0) = 1 and w_p(0) = 0 for p >= 1, row m of column j is
+    [m = j] + sum_(s >= 1) C(j, s) s! [t^s] w_(j-s-m), with s < count, so
+    each w_p is read once, through t^(count-1).  Raises WindowOverflow
     rather than read a w_p below K.depth or past its series' order.
     """
-    if j and K.depth is not None and lo + 1 - j < K.depth:
-        raise WindowOverflow("dressing too shallow for the window")
-    col = {j: Fraction(1)}
-    for m in range(lo, j):
-        v = Fraction(0)
-        for s in range(1, min(j, j - m) + 1):
-            w = K.terms.get(m + s - j)
-            if w is not None:
-                if not w.known(s):
-                    raise WindowOverflow("dressing coefficients too short for the window")
-                v += _binom(j, s) * factorial(s) * w.coeff(s)
-        if v:
-            col[m] = v
-    return col
+    heads = {}  # (pole, order, coeffs) of each w through t^(count-1), by d-order
+    for i, w in K.terms.items():
+        w = w.truncate(count)
+        heads[i] = w.pole, w.order, w.coeffs
+    cols = []
+    for j in range(count):
+        if j and K.depth is not None and lo + 1 - j < K.depth:
+            raise WindowOverflow("dressing too shallow for the window")
+        col = {j: Fraction(1)}
+        for m in range(lo, j):
+            v = Fraction(0)
+            for s in range(1, min(j, j - m) + 1):
+                head = heads.get(m + s - j)
+                if head is not None:
+                    pole, order, cs = head
+                    if s >= order:
+                        raise WindowOverflow("dressing coefficients too short for the window")
+                    if s >= pole:
+                        v += _binom(j, s) * factorial(s) * cs[s - pole]
+            if v:
+                col[m] = v
+        cols.append(col)
+    return cols
 
 
 def n_reduction_holds(W: GrassPoint, n: int) -> bool:
@@ -245,7 +261,8 @@ def _monomial(P: PsiDO, Q: PsiDO, a: int, b: int, memo: dict) -> PsiDO:
     factor shorter; ``memo`` keeps them by (a, b)."""
     if (a, b) not in memo:
         if (a, b) == (0, 0):
-            order = min((s.order for s in [*P.terms.values(), *Q.terms.values()]), default=12)
+            order = min((s.order for s in [*P.terms.values(), *Q.terms.values()]),
+                        default=DEFAULT_ORDER)
             memo[a, b] = PsiDO({0: TruncSeries.one(order)})
         else:
             prev, factor = ((a, b - 1), Q) if b else ((a - 1, 0), P)

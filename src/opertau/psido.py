@@ -7,9 +7,9 @@ below d were discarded; every operation records the worst depth actually
 trusted in its result so comparisons never overreach the computed window.
 
 Each coefficient of a product is a sum of binomial products C(i,k) a b^(k),
-accumulated in integers by ``series._dot``.  The derivatives b^(k) are kept
-as integer rows: each step multiplies the numerators by the exponents over
-the same denominator, so no ``Fraction`` is built along a chain.
+accumulated in integers by ``series._dot``, which reads the integer rows
+the series store.  The derivatives b^(k) are chains of ``.derivative()``
+calls; this module builds and keeps no rows of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadArgument, NotMonic, TailOverflow
-from .series import DualSeries, TruncSeries, _dot, _factor, _factor_derivative
+from .series import DEFAULT_ORDER, DualSeries, TruncSeries, _dot
 
 # deepest d-order kept where an expansion does not terminate, unless the
 # caller passes another
@@ -72,8 +72,6 @@ class PsiDO:
 
     @classmethod
     def d(cls, k: int = 1, order: int | None = None) -> "PsiDO":
-        from .series import DEFAULT_ORDER
-
         return cls({k: TruncSeries.one(order or DEFAULT_ORDER)})
 
     @classmethod
@@ -95,23 +93,18 @@ class PsiDO:
         return all(i >= 0 for i in self.terms)
 
     def agrees(self, other: "PsiDO") -> bool:
-        """Coefficientwise agreement on the shared trusted window."""
+        """Coefficientwise agreement on the shared trusted window.
+
+        A stored coefficient is never zero, so an order at or above the
+        shared depth that only one side holds is a disagreement.
+        """
         d = _depth_max(self.depth, other.depth)
-        orders = set(self.terms) | set(other.terms)
-        for i in orders:
+        for i in set(self.terms) | set(other.terms):
             if d is not None and i < d:
                 continue
             a = self.terms.get(i)
             b = other.terms.get(i)
-            if a is None and b is None:
-                continue
-            if a is None:
-                if not _agrees_zero(b):
-                    return False
-            elif b is None:
-                if not _agrees_zero(a):
-                    return False
-            elif not a.agrees(b):
+            if a is None or b is None or not a.agrees(b):
                 return False
         return True
 
@@ -128,17 +121,23 @@ class PsiDO:
     def __neg__(self):
         return PsiDO({i: -c for i, c in self.terms.items()}, self.depth)
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign·other, coefficient by coefficient."""
         if not isinstance(other, PsiDO):
             return NotImplemented
-        depth = _depth_max(self.depth, other.depth)
         out = dict(self.terms)
         for i, c in other.terms.items():
-            out[i] = out[i] + c if i in out else c
-        return PsiDO(out, depth)
+            if i not in out:
+                out[i] = c if sign > 0 else -c
+            else:
+                out[i] = out[i] + c if sign > 0 else out[i] - c
+        return PsiDO(out, _depth_max(self.depth, other.depth))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -164,12 +163,6 @@ class PsiDO:
         return "PsiDO<" + " + ".join(bits) + ">" + tail
 
 
-def _agrees_zero(c) -> bool:
-    if isinstance(c, DualSeries):
-        return _agrees_zero(c.re) and _agrees_zero(c.du)
-    return all(v == 0 for _, v in c.items())
-
-
 def compose(A: PsiDO, B: PsiDO, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     """Operator product via d^i a = sum_k C(i,k) a^(k) d^(i-k).
 
@@ -192,7 +185,6 @@ def compose(A: PsiDO, B: PsiDO, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     if B.depth is not None:
         trusted = _depth_max(trusted, B.depth + max(A.terms))
     derivs: dict[int, list] = {}
-    rows: dict[int, tuple] = {}
     if min(A.terms) >= 0:
         lowest = min(B.terms)  # each d^i b_j^(k) d^(j-k) has k <= i
     else:
@@ -208,36 +200,34 @@ def compose(A: PsiDO, B: PsiDO, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
         raise TailOverflow("no trusted orders remain in the composition")
     out: dict[int, TruncSeries | DualSeries] = {}
     for o in range(A.top + B.top, _depth_max(lowest, trusted) - 1, -1):
-        c = _compose_coeff(A.terms, B.terms, o, derivs, rows)
+        c = _compose_coeff(A.terms, B.terms, o, derivs)
         if c is not None:
             out[o] = c
     return PsiDO(out, trusted)
 
 
 def _derivative(B: dict, j: int, k: int, derivs: dict[int, list]):
-    """k-th derivative of the coefficient B[j] as integer rows (a factor of
-    ``series._dot``), or None once the chain dies.
+    """k-th derivative of the coefficient B[j], or None once the chain dies.
 
     ``derivs`` memoizes the chain of each B[j], which ends in None once a
     derivative is zero; reuse it only while those coefficients stay fixed.
     """
     chain = derivs.get(j)
     if chain is None:
-        chain = derivs[j] = [None if B[j].is_zero else _factor(B[j])]
+        chain = derivs[j] = [None if B[j].is_zero else B[j]]
     while len(chain) <= k and chain[-1] is not None:
-        chain.append(_factor_derivative(chain[-1]))
+        d = chain[-1].derivative()
+        chain.append(None if d.is_zero else d)
     return chain[k] if k < len(chain) else None  # None: exact termination
 
 
-def _compose_coeff(A: dict, B: dict, o: int, derivs: dict[int, list], rows: dict[int, tuple]):
+def _compose_coeff(A: dict, B: dict, o: int, derivs: dict[int, list]):
     """Coefficient of d^o in A∘B for coefficient dicts A and B; None if zero.
 
     ``compose``, ``nth_root`` and ``dressing`` sum the binomial rule here, one
     order per call, as one ``series._dot`` of the products
     C(i, k) a_i b_j^(k): dead derivatives are skipped and a zero sum is absent.
-    ``derivs`` memoizes derivative chains as in ``_derivative``; ``rows``
-    memoizes the integer rows of A's coefficients by identity, and holds each
-    coefficient so that its id stays its own.
+    ``derivs`` memoizes derivative chains as in ``_derivative``.
     """
     triples = []
     for j in B:
@@ -246,12 +236,8 @@ def _compose_coeff(A: dict, B: dict, o: int, derivs: dict[int, list], rows: dict
             if k < 0 or (i >= 0 and k > i):
                 continue
             bk = _derivative(B, j, k, derivs)
-            if bk is None:
-                continue
-            hit = rows.get(id(a))
-            if hit is None:
-                hit = rows[id(a)] = (a, _factor(a))
-            triples.append((_binom(i, k), hit[1], bk))
+            if bk is not None:
+                triples.append((_binom(i, k), a, bk))
     if not triples:
         return None
     total = _dot(triples)
@@ -298,8 +284,6 @@ def residue(A: PsiDO):
         return c
     # exact zero; give it the trusted t-window of the operator's coefficients
     orders = [s.order for s in _real_series(A)]
-    from .series import DEFAULT_ORDER
-
     zero = TruncSeries.zero(min(orders) if orders else DEFAULT_ORDER)
     if any(isinstance(v, DualSeries) for v in A.terms.values()):
         return DualSeries(zero, zero)
@@ -345,14 +329,13 @@ def nth_root(L: PsiDO, n: int, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     target = depth if L.depth is None else max(depth, L.depth - n + 1)
     R = {1: top}  # reuse the (possibly dual) exact-1 coefficient
     derivs: dict[int, list] = {}  # derivative chains of the r_j, by j
-    rows: dict[int, tuple] = {}  # integer rows of the powers' coefficients
     # powers[k]: the coefficients of R^k computed so far (powers[1] is R)
     powers = [None, R] + [{} for _ in range(2, n)]
 
     def fill(m: int) -> None:
         """The d^(m+k-1) coefficient of R^k, k = 2..n-1, from R as it stands."""
         for k in range(2, n):
-            c = _compose_coeff(powers[k - 1], R, m + k - 1, derivs, rows)
+            c = _compose_coeff(powers[k - 1], R, m + k - 1, derivs)
             if c is None:
                 powers[k].pop(m + k - 1, None)
             else:
@@ -362,10 +345,10 @@ def nth_root(L: PsiDO, n: int, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
     for m in range(0, target - 1, -1):
         fill(m)  # provisional: r_m is not in R yet
         want = n - 1 + m
-        got = _compose_coeff(powers[n - 1], R, want, derivs, rows)
+        got = _compose_coeff(powers[n - 1], R, want, derivs)
         have = L.terms.get(want)
         if got is not None:
-            have = -got if have is None else have + (-got)
+            have = -got if have is None else have - got
         if have is None or have.is_zero:
             continue  # r_m = 0, so the provisional coefficients are final
         R[m] = have * Fraction(1, n)

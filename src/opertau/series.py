@@ -7,18 +7,20 @@ computes the window actually supported by its inputs instead of silently
 widening it; mixing two windows yields the intersection of knowledge.
 
 All scalars are :class:`fractions.Fraction`.  There is no floating point
-anywhere in this package.  Sums of products accumulate integers internally:
-each factor becomes an integer row, its numerators over the lcm of its
-denominators (the common-denominator layout of FLINT's ``fmpq_poly``).
-``_dot`` adds every product c·a·b of a sum into one integer list over one
-common denominator and makes each output coefficient once, as one canonical
-``Fraction``; a single product ``a * b`` is the one-term sum.
+anywhere in this package.  A series is stored as its canonical integer row
+``(pole, order, nums, den)``: the numerators over one common denominator,
+the layout of FLINT's ``fmpq_poly``.  Sums, negation, scalar products,
+derivatives and truncation are integer passes over the row; ``_dot`` adds
+every product c·a·b of a sum into one integer list over one common
+denominator and divides out one gcd at the end, and a single product
+``a * b`` is the one-term sum.  A ``Fraction`` is made only where a caller
+reads one (``coeffs``, ``coeff``, ``items``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Collection, Iterable, Sequence, Union
 
@@ -44,104 +46,72 @@ def _integer_row(coeffs: Collection[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _rstrip(cs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """``cs`` through its last nonzero entry (``cs[0]`` is nonzero), like the
-    length of an ``fmpq_poly``: trailing zeros add nothing to a product."""
-    end = len(cs)
-    while not cs[end - 1]:
-        end -= 1
-    return cs[:end]
+def _canonical(pole: int, order: int, nums, den: int) -> tuple[int, int, tuple[int, ...], int]:
+    """The canonical row of ``nums`` over ``den > 0`` on exponents from t^pole:
+    zero ends stripped (a leading zero moves the pole up) and one gcd divided
+    out; zero is ``(order, order, (), 1)``."""
+    lo, hi = 0, len(nums)
+    while lo < hi and not nums[lo]:
+        lo += 1
+    if lo == hi:
+        return order, order, (), 1
+    while not nums[hi - 1]:
+        hi -= 1
+    nums = nums[lo:hi]
+    g = gcd(den, *nums)
+    if g > 1:
+        return pole + lo, order, tuple([x // g for x in nums]), den // g
+    return pole + lo, order, tuple(nums), den
 
 
-def _row(s: "TruncSeries", width: int | None = None) -> tuple[int, int, list[int], int]:
-    """Canonical integer row ``(pole, order, nums, den)`` of ``s``.
-
-    ``nums`` runs from t^pole (nonzero) through the last nonzero coefficient
-    among the first ``width`` (all by default), over the lcm ``den`` of their
-    denominators; a zero series has no ``nums`` and its pole at its order.
-    """
-    cs = s.coeffs[:width]
-    if not cs:
-        return s.pole, s.order, [], 1
-    nums, den = _integer_row(_rstrip(cs))
-    return s.pole, s.order, nums, den
-
-
-def _factor(x: "TruncSeries | DualSeries") -> tuple:
-    """``x`` as ``_dot`` reads it: ``(row,)`` or, for a DualSeries, ``(re, du)``."""
+def _parts(x: "TruncSeries | DualSeries") -> tuple["TruncSeries", "TruncSeries"]:
+    """``(re, du)``; a TruncSeries x counts as x + (0 + O(t^x.order)) eps."""
     if isinstance(x, DualSeries):
-        return _row(x.re), _row(x.du)
-    return (_row(x),)
-
-
-def _factor_derivative(f: tuple) -> tuple | None:
-    """d/dt of a factor, row by row, or None when every row of it is zero.
-
-    c t^e becomes e c t^(e-1) over the same den.  Only t^0 dies, so new zeros
-    sit at the ends of a row only.
-    """
-    out = []
-    for pole, order, nums, den in f:
-        nums = [e * c for e, c in enumerate(nums, pole)]
-        lo, hi = 0, len(nums)
-        while lo < hi and not nums[lo]:
-            lo += 1
-        while hi > lo and not nums[hi - 1]:
-            hi -= 1
-        if lo == hi:
-            out.append((order - 1, order - 1, [], 1))  # zero: pole at the order
-        else:
-            out.append((pole + lo - 1, order - 1, nums[lo:hi], den))
-    return tuple(out) if any(row[2] for row in out) else None
-
-
-def _du(f: tuple) -> tuple[int, int, list[int], int]:
-    """The eps part of a factor; a TruncSeries x counts as x + (0 + O(t^x.order)) eps."""
-    if len(f) == 2:
-        return f[1]
-    order = f[0][1]
-    return order, order, [], 1
+        return x.re, x.du
+    return x, TruncSeries.zero(x.order)
 
 
 def _dot(triples: list) -> "TruncSeries | DualSeries":
-    """Σ c·a·b over ``(c, a, b)``: ``int`` c, factors ``a``, ``b`` from ``_factor``.
+    """Σ c·a·b over ``(c, a, b)``: ``int`` c, TruncSeries or DualSeries a, b.
 
     The sum is a DualSeries when any factor is one: re·re, and re·du + du·re,
     are each one ``_sum_rows`` call.  Every window is the one the products and
     sums of the series would give one at a time.
     """
-    re = _sum_rows([(c, a[0], b[0]) for c, a, b in triples])
-    if all(len(a) == len(b) == 1 for _, a, b in triples):
-        return re
-    du = _sum_rows([(c, a[0], _du(b)) for c, a, b in triples]
-                   + [(c, _du(a), b[0]) for c, a, b in triples])
+    if not any(isinstance(a, DualSeries) or isinstance(b, DualSeries) for _, a, b in triples):
+        return _sum_rows(triples)
+    parts = [(c, _parts(a), _parts(b)) for c, a, b in triples]
+    re = _sum_rows([(c, a[0], b[0]) for c, a, b in parts])
+    du = _sum_rows([(c, a[0], b[1]) for c, a, b in parts]
+                   + [(c, a[1], b[0]) for c, a, b in parts])
     return DualSeries(re, du)
 
 
 def _sum_rows(triples: list) -> "TruncSeries":
-    """Σ c·a·b over ``(c, a, b)`` with ``int`` c and integer rows a, b.
+    """Σ c·a·b over ``(c, a, b)`` with ``int`` c and TruncSeries a, b.
 
     The window is min(a.order + b.pole, b.order + a.pole) over all triples,
     zero factors included.  Every product goes into one ``int`` list scaled
-    by D / (d_a·d_b), D the lcm of those denominators, and each exponent
-    becomes one ``Fraction``.
+    by D / (d_a·d_b), D the lcm of those denominators, and the sum's row
+    divides out one gcd at the end.
     """
-    order = min([min(pa + ob, oa + pb) for _, (pa, oa, _, _), (pb, ob, _, _) in triples])
-    live = [t for t in triples if t[1][2] and t[2][2]]
-    pole = min([a[0] + b[0] for _, a, b in live], default=order)
+    order = min([min(a.pole + b.order, a.order + b.pole) for _, a, b in triples])
+    live = [t for t in triples if t[1].nums and t[2].nums]
+    pole = min([a.pole + b.pole for _, a, b in live], default=order)
     if pole >= order:
-        return TruncSeries._make(order, [], order)
-    den = lcm(*[a[3] * b[3] for _, a, b in live])
+        return TruncSeries.zero(order)
+    den = lcm(*[a.den * b.den for _, a, b in live])
     acc = [0] * (order - pole)
-    for c, (pa, _, a, da), (pb, _, b, db) in live:
+    for c, x, y in live:
+        pa, pb = x.pole, y.pole
         n = order - pa - pb  # exponents of this product inside the window
         if n <= 0:
             continue
-        a = a[:n]
-        b = b[:n][::-1]
+        a = x.nums[:n]
+        b = y.nums[:n][::-1]
         last = len(b) - 1
         end = min(n, len(a) + last)  # t^(pa + pb + k) is 0 from k = end on
-        scale = den // (da * db) * c
+        scale = den // (x.den * y.den) * c
         off = pa + pb - pole
         # t^(pa + pb + k) collects a_i b_(k - i) as one integer sum over the
         # reversed b; map stops at the end of the shorter slice
@@ -149,43 +119,39 @@ def _sum_rows(triples: list) -> "TruncSeries":
             acc[off + k] += scale * sum(map(mul, a, b[last - k:]))
         for k in range(last, end):
             acc[off + k] += scale * sum(map(mul, a[k - last:], b))
-    zero = Fraction(0)
-    return TruncSeries._make(pole, [Fraction(x, den) if x else zero for x in acc], order)
+    return TruncSeries._make(pole, order, acc, den)
 
 
 class TruncSeries:
-    """Laurent series with exact coefficients on the window [pole, order)."""
+    """Laurent series with exact coefficients on the window [pole, order).
 
-    __slots__ = ("pole", "order", "coeffs")
+    The coefficient of t^(pole + i) is ``nums[i] / den``, and t^k is zero for
+    pole + len(nums) <= k < order.  The row is canonical: ``nums`` starts and
+    ends nonzero, ``den > 0`` and gcd(den, *nums) = 1; zero has no ``nums``,
+    ``den`` 1 and its pole at its order.  So equal series have equal rows.
+    """
+
+    __slots__ = ("pole", "order", "nums", "den")
 
     def __init__(self, pole: int, coeffs: Iterable[Scalar], order: int):
         cs = [rat(c) for c in coeffs]
         if order - pole != len(cs):
             raise ValueError("coefficient count must equal order - pole")
-        self._assign(pole, cs, order)
-
-    def _assign(self, pole: int, cs: Sequence[Fraction], order: int) -> None:
-        # canonical form: exact leading zeros are absorbed into the pole
-        lead = 0
-        while lead < len(cs) and not cs[lead]:
-            lead += 1
-        self.pole = pole + lead
-        self.coeffs = tuple(cs[lead:])
-        self.order = order
+        self.pole, self.order, self.nums, self.den = _canonical(pole, order, *_integer_row(cs))
 
     @classmethod
-    def _make(cls, pole: int, cs: Sequence[Fraction], order: int) -> "TruncSeries":
-        """Trusted constructor: ``cs`` holds one ``Fraction`` per exponent of
-        [pole, order); only the exact leading zeros are stripped here."""
+    def _make(cls, pole: int, order: int, nums: Sequence[int], den: int) -> "TruncSeries":
+        """Trusted constructor: ``nums`` over ``den > 0`` on the exponents from
+        t^pole, all below ``order``; ``_canonical`` puts it in canonical form."""
         s = object.__new__(cls)
-        s._assign(pole, cs, order)
+        s.pole, s.order, s.nums, s.den = _canonical(pole, order, nums, den)
         return s
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "TruncSeries":
-        return cls(order, (), order)
+        return cls._make(order, order, (), 1)
 
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER) -> "TruncSeries":
@@ -195,7 +161,8 @@ class TruncSeries:
     def monomial(cls, k: int, coef: Scalar = 1, order: int = DEFAULT_ORDER) -> "TruncSeries":
         if k >= order:
             return cls.zero(order)
-        return cls(k, [coef] + [0] * (order - k - 1), order)
+        c = rat(coef)
+        return cls._make(k, order, (c.numerator,), c.denominator)
 
     @classmethod
     def from_dict(cls, d: dict[int, Scalar], order: int = DEFAULT_ORDER) -> "TruncSeries":
@@ -207,14 +174,19 @@ class TruncSeries:
     # -- inspection --------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """One ``Fraction`` per exponent of [pole, order), zeros included."""
+        zero = Fraction(0)
+        tail = (zero,) * (self.order - self.pole - len(self.nums))
+        return tuple([Fraction(x, self.den) if x else zero for x in self.nums]) + tail
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def is_one(self) -> bool:
-        return self.order >= 1 and self.pole == 0 and all(
-            c == (1 if k == 0 else 0) for k, c in enumerate(self.coeffs)
-        )
+        return self.order >= 1 and self.pole == 0 and self.nums == (1,) and self.den == 1
 
     def known(self, k: int) -> bool:
         return k < self.order
@@ -223,62 +195,56 @@ class TruncSeries:
         """Coefficient of t^k; raises if k is beyond the trusted window."""
         if k >= self.order:
             raise KeyError(f"coefficient t^{k} lies beyond the trusted order {self.order}")
-        if k < self.pole:
-            return Fraction(0)
-        return self.coeffs[k - self.pole]
+        i = k - self.pole
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     def items(self):
-        for k, c in enumerate(self.coeffs):
-            if c:
-                yield self.pole + k, c
+        for k, x in enumerate(self.nums, self.pole):
+            if x:
+                yield k, Fraction(x, self.den)
 
     def agrees(self, other: "TruncSeries") -> bool:
         """Equality of all coefficients on the shared trusted window."""
-        hi = min(self.order, other.order)
-        lo = min(self.pole, other.pole)
-        return all(
-            (self.coeffs[k - self.pole] if k >= self.pole else Fraction(0))
-            == (other.coeffs[k - other.pole] if k >= other.pole else Fraction(0))
-            for k in range(lo, hi)
-        )
+        order = min(self.order, other.order)
+        return self.truncate(order) == other.truncate(order)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return (self.pole, self.order, self.coeffs) == (other.pole, other.order, other.coeffs)
+        return (self.pole, self.order, self.nums, self.den) == (
+            other.pole, other.order, other.nums, other.den)
 
     def __hash__(self):
-        return hash((self.pole, self.order, self.coeffs))
+        return hash((self.pole, self.order, self.nums, self.den))
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries._make(self.pole, [-c for c in self.coeffs], self.order)
+        return TruncSeries._make(self.pole, self.order, [-x for x in self.nums], self.den)
 
-    def __add__(self, other) -> "TruncSeries":
+    def _plus(self, other, sign: int) -> "TruncSeries":
+        """self + sign·other on the shared window, as one integer row."""
         if isinstance(other, (int, Fraction)):
             other = TruncSeries.monomial(0, other, self.order)
         elif not isinstance(other, TruncSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        if self.is_zero:
-            return other.truncate(order)
-        if other.is_zero:
-            return self.truncate(order)
-        pole = min(self.pole, other.pole)
-        cs = [Fraction(0)] * (order - pole)
-        for src in (self, other):
-            for k, c in src.items():
-                if k < order:
-                    cs[k - pole] += c
-        return TruncSeries._make(pole, cs, order)
+        pole = min(self.pole, other.pole, order)
+        den = lcm(self.den, other.den)
+        acc = [0] * (order - pole)
+        for scale, x in ((den // self.den, self), (sign * den // other.den, other)):
+            off = x.pole - pole
+            for i, v in enumerate(x.nums[:max(0, order - x.pole)], off):
+                acc[i] += scale * v
+        return TruncSeries._make(pole, order, acc, den)
+
+    def __add__(self, other) -> "TruncSeries":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncSeries.monomial(0, other, self.order)
-        return self + (-other)
+    def __sub__(self, other) -> "TruncSeries":
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -286,40 +252,32 @@ class TruncSeries:
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
             c = rat(other)
-            if c == 0:
-                return TruncSeries.zero(self.order)
-            return TruncSeries._make(self.pole, [c * a for a in self.coeffs], self.order)
+            nums = [x * c.numerator for x in self.nums]
+            return TruncSeries._make(self.pole, self.order, nums, self.den * c.denominator)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        # the window is as wide as the narrower factor: no coefficient past it
-        # reaches the product
-        n = min(self.order - self.pole, other.order - other.pole)
-        return _sum_rows([(1, _row(self, n), _row(other, n))])
+        return _sum_rows([(1, self, other)])
 
     __rmul__ = __mul__
 
     def truncate(self, order: int) -> "TruncSeries":
         if order >= self.order:
             return self
-        n = max(0, order - self.pole)
-        return TruncSeries._make(min(self.pole, order), self.coeffs[:n], order)
+        nums = self.nums[:max(0, order - self.pole)]
+        return TruncSeries._make(min(self.pole, order), order, nums, self.den)
 
     def derivative(self) -> "TruncSeries":
-        cs = [(self.pole + k) * c for k, c in enumerate(self.coeffs)]
-        return TruncSeries._make(self.pole - 1, cs, self.order - 1)
+        nums = [e * x for e, x in enumerate(self.nums, self.pole)]
+        return TruncSeries._make(self.pole - 1, self.order - 1, nums, self.den)
 
     def antiderivative(self) -> "TruncSeries":
         """Termwise antiderivative with constant 0; fails on a t^-1 term."""
-        cs = []
-        for k, c in enumerate(self.coeffs):
-            e = self.pole + k
-            if e == -1:
-                if c != 0:
-                    raise NotIntegrable("nonzero t^-1 coefficient")
-                cs.append(Fraction(0))
-            else:
-                cs.append(c / (e + 1))
-        return TruncSeries(self.pole + 1, cs, self.order + 1)
+        if self.pole < 0 and -1 - self.pole < len(self.nums) and self.nums[-1 - self.pole]:
+            raise NotIntegrable("nonzero t^-1 coefficient")
+        # x t^e / den integrates to x (m / (e + 1)) t^(e + 1) / (den m)
+        m = lcm(*[e + 1 for e, x in enumerate(self.nums, self.pole) if x])
+        nums = [x * (m // (e + 1)) if x else 0 for e, x in enumerate(self.nums, self.pole)]
+        return TruncSeries._make(self.pole + 1, self.order + 1, nums, self.den * m)
 
     def invert(self) -> "TruncSeries":
         if self.is_zero:
@@ -408,7 +366,10 @@ class DualSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if not isinstance(other, (int, Fraction)) else -rat(other))
+        if isinstance(other, (int, Fraction)):
+            return DualSeries(self.re - other, self.du)
+        o = self._coerce(other)
+        return DualSeries(self.re - o.re, self.du - o.du)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -416,7 +377,7 @@ class DualSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return DualSeries(self.re * other, self.du * other)
-        return _dot([(1, _factor(self), _factor(self._coerce(other)))])
+        return _dot([(1, self, self._coerce(other))])
 
     __rmul__ = __mul__
 

@@ -9,7 +9,7 @@ from opertau.errors import BadArgument, NotCommuting, WindowOverflow
 from opertau.grass import GrassPoint, standard_point, tau_schur
 from opertau.krichever import (
     _solve_linear_ode,
-    _symbol_column,
+    _symbol_columns,
     _wave_columns_cached,
     AffineFlagPoint,
     SpectralRelation,
@@ -246,15 +246,16 @@ class TestKricheverPoint:
     def test_symbol_column_refuses_to_read_below_the_dressing(self):
         K = dressing(oper(2, [None, {1: -1}]), depth=-3)
         # row m of column 1 is [t^1] w_-m; w_2 = t/4 + ...
-        assert _symbol_column(K, 1, -3) == {1: F(1), -2: F(1, 4)}
+        assert _symbol_columns(K, 2, -3)[1] == {1: F(1), -2: F(1, 4)}
         with pytest.raises(WindowOverflow):
-            _symbol_column(K, 1, -4)
+            _symbol_columns(K, 2, -4)
         with pytest.raises(WindowOverflow):
-            _symbol_column(K, 2, -3)
+            _symbol_columns(K, 3, -3)
         # w_3 is known only at t^0 when the coefficients stop at t^4
         short = dressing(oper(2, [None, {1: -1}], order=4), depth=-3)
+        _symbol_columns(short, 2, -2)
         with pytest.raises(WindowOverflow):
-            _symbol_column(short, 2, -2)
+            _symbol_columns(short, 3, -2)
 
     def test_negative_control_microdifferential(self):
         # a genuinely microdifferential perturbation breaks z^2-containment

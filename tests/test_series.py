@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opertau.errors import NotIntegrable, NotInvertible
-from opertau.series import DualSeries, TruncSeries, tpoly
+from opertau.series import DualSeries, TruncSeries, _dot, tpoly
 
 from .conftest import complete_series, random_poly, series_claims_hold
 
@@ -153,8 +154,9 @@ class TestIntegerKernel:
         for a, b in KERNEL_CASES.values():
             if not (a.is_zero or b.is_zero):
                 assert (a * b).pole == a.pole + b.pole
-        s = TruncSeries._make(-3, [F(0), F(0), F(1, 2), F(0)], 1)
-        assert (s.pole, s.coeffs, s.order) == (-1, (F(1, 2), F(0)), 1)
+        s = TruncSeries._make(-3, 1, [0, 0, 2, 0], 4)
+        assert (s.pole, s.order, s.nums, s.den) == (-1, 1, (1,), 2)
+        assert s.coeffs == (F(1, 2), F(0))
 
     @settings(max_examples=60, deadline=None)
     @given(series_strategy(), series_strategy())
@@ -171,6 +173,7 @@ fraction_series = st.builds(
              max_size=8),
 )
 seeds = st.integers(min_value=0, max_value=2**32)
+scalars = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 
 class TestCompletionOracle:
@@ -193,6 +196,38 @@ class TestCompletionOracle:
     @given(fraction_series.filter(lambda s: not s.is_zero), seeds)
     def test_invert(self, a, seed):
         series_claims_hold(a.invert(), complete_series(a, random.Random(seed)).invert())
+
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_series, fraction_series, seeds)
+    def test_sub(self, a, b, seed):
+        rng = random.Random(seed)
+        series_claims_hold(a - b, complete_series(a, rng) - complete_series(b, rng))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_series, seeds)
+    def test_derivative(self, a, seed):
+        series_claims_hold(a.derivative(), complete_series(a, random.Random(seed)).derivative())
+
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_series, scalars, seeds)
+    def test_scalar_mul(self, a, c, seed):
+        series_claims_hold(a * c, complete_series(a, random.Random(seed)) * c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_series, st.integers(min_value=-8, max_value=12), seeds)
+    def test_truncate(self, a, cut, seed):
+        series_claims_hold(a.truncate(cut), complete_series(a, random.Random(seed)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_series, fraction_series, seeds)
+    def test_agrees(self, a, b, seed):
+        # agreement is a claim about the shared window only: it holds exactly
+        # when the completions agree there, and a series agrees with its own
+        rng = random.Random(seed)
+        full_a, full_b = complete_series(a, rng), complete_series(b, rng)
+        shared = range(min(a.pole, b.pole), min(a.order, b.order))
+        assert a.agrees(b) == all(full_a.coeff(k) == full_b.coeff(k) for k in shared)
+        assert a.agrees(full_a) and full_a.agrees(a)
 
 
 def rebuilt(pole, values, order):
@@ -232,6 +267,141 @@ class TestTrustedConstructors:
         for got, want in got_want:
             assert (got.pole, got.order, got.coeffs) == (want.pole, want.order, want.coeffs)
             assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def is_canonical(s: TruncSeries) -> bool:
+    """The stored row is canonical: an int tuple with nonzero ends inside the
+    window, den > 0 and gcd(den, *nums) = 1; zero is (order, order, (), 1)."""
+    if type(s.nums) is not tuple or not all(type(x) is int for x in s.nums):
+        return False
+    if not s.nums:
+        return (s.pole, s.den) == (s.order, 1)
+    return (s.nums[0] != 0 and s.nums[-1] != 0 and s.den > 0
+            and gcd(s.den, *s.nums) == 1 and s.pole + len(s.nums) <= s.order)
+
+
+def fraction_row(pole, values, order):
+    """(pole, order, coeffs) of Fraction ``values`` on [pole, order) with the
+    exact leading zeros moved into the pole: what a series built from them
+    reports."""
+    values = [Fraction(v) for v in values]
+    assert len(values) == order - pole
+    lead = 0
+    while lead < len(values) and not values[lead]:
+        lead += 1
+    return pole + lead, order, tuple(values[lead:])
+
+
+def window(s):
+    return s.pole, s.order, s.coeffs
+
+
+def value(s, k):
+    """The Fraction at t^k (k < s.order) read from ``coeffs``."""
+    return s.coeffs[k - s.pole] if k >= s.pole else Fraction(0)
+
+
+def reference_plus(a, b, sign):
+    order = min(a.order, b.order)
+    pole = min(a.pole, b.pole, order)
+    return fraction_row(pole, [value(a, k) + sign * value(b, k) for k in range(pole, order)], order)
+
+
+def reference_dot(triples):
+    """Σ c·a·b by a Fraction loop over every pair of coefficients."""
+    order = min(min(a.pole + b.order, a.order + b.pole) for _, a, b in triples)
+    pole = min([a.pole + b.pole for _, a, b in triples] + [order])
+    acc = [Fraction(0)] * (order - pole)
+    for c, a, b in triples:
+        for i, x in enumerate(a.coeffs, a.pole):
+            for j, y in enumerate(b.coeffs, b.pole):
+                if i + j < order:
+                    acc[i + j - pole] += c * x * y
+    return fraction_row(pole, acc, order)
+
+
+def reference_invert(a):
+    """The Fraction recursion for 1/a on a window of a's width."""
+    p, cs = a.pole, a.coeffs
+    out = [1 / cs[0]]
+    for k in range(1, len(cs)):
+        out.append(-out[0] * sum(cs[j] * out[k - j] for j in range(1, k + 1)))
+    return fraction_row(-p, out, -p + len(cs))
+
+
+class TestCanonicalRow:
+    """Every operation stores a canonical row, and reports the (pole, order,
+    coeffs) of a Fraction loop over its inputs' coefficients."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=-6, max_value=3),
+           st.lists(st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4,
+                                                        max_denominator=7)), max_size=8))
+    def test_constructor(self, pole, values):
+        s = TruncSeries(pole, values, pole + len(values))
+        assert is_canonical(s)
+        assert window(s) == fraction_row(pole, values, pole + len(values))
+
+    @settings(max_examples=80, deadline=None)
+    @given(fraction_series, fraction_series, scalars, st.integers(min_value=-8, max_value=12))
+    def test_operations(self, a, b, c, cut):
+        p, o, cs = window(a)
+        cases = [
+            (a + b, reference_plus(a, b, 1)),
+            (a - b, reference_plus(a, b, -1)),
+            (-a, fraction_row(p, [-x for x in cs], o)),
+            (a * c, fraction_row(p, [c * x for x in cs], o)),
+            (a * b, reference_dot([(1, a, b)])),
+            (_dot([(3, a, b), (-2, b, b), (1, a, a)]), reference_dot([(3, a, b), (-2, b, b), (1, a, a)])),
+            (a.derivative(), fraction_row(p - 1, [(p + k) * x for k, x in enumerate(cs)], o - 1)),
+            (a.truncate(cut), window(a) if cut >= o else fraction_row(min(p, cut), cs[:max(0, cut - p)], cut)),
+        ]
+        if not a.is_zero:
+            cases.append((a.invert(), reference_invert(a)))
+        if p <= -1 < o and value(a, -1):
+            with pytest.raises(NotIntegrable):
+                a.antiderivative()
+        else:
+            cases.append((a.antiderivative(),
+                          fraction_row(p + 1, [x / (e + 1) if x else 0 for e, x in enumerate(cs, p)], o + 1)))
+        for got, want in cases:
+            assert is_canonical(got)
+            assert window(got) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(fraction_series, fraction_series, fraction_series, fraction_series, scalars)
+    def test_dual_operations(self, a, b, c, d, k):
+        x, y = DualSeries(a, b), DualSeries(c, d)
+        cases = [
+            (x + y, a + c, b + d),
+            (x - y, a - c, b - d),
+            (-x, -a, -b),
+            (x * k, a * k, b * k),
+            (x * y, a * c, a * d + b * c),
+            # a TruncSeries c counts as c + (0 + O(t^c.order)) eps
+            (_dot([(2, x, c), (-1, a, y)]), _dot([(2, a, c), (-1, a, c)]),
+             _dot([(2, a, TruncSeries.zero(c.order)), (-1, a, d), (2, b, c),
+                   (-1, TruncSeries.zero(a.order), c)])),
+            (x.derivative(), a.derivative(), b.derivative()),
+            (x.truncate(2), a.truncate(2), b.truncate(2)),
+        ]
+        if not a.is_zero:
+            r = a.invert()
+            cases.append((x.invert(), r, -(r * b * r)))
+        for got, re, du in cases:
+            assert is_canonical(got.re) and is_canonical(got.du)
+            assert (got.re, got.du) == (re, du)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fraction_series, fraction_series)
+    def test_equality_is_equality_of_windows(self, a, b):
+        order = min(a.order, b.order)
+        rebuilt = TruncSeries(a.pole, a.coeffs, a.order)
+        for x, y in ((a, b), ((a + b) - b, a.truncate(order)), (rebuilt, a), (a, a * 1)):
+            assert (x == y) == (window(x) == window(y))
+            if x == y:
+                assert hash(x) == hash(y)
+        assert (a + b) - b == a.truncate(order) and rebuilt == a
 
 
 class TestDerivative:

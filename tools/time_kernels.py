@@ -1,9 +1,10 @@
-"""Wall time of the product kernels and of `compose` and `nth_root` on
+"""Wall time of the series kernels and of `compose` and `nth_root` on
 fixed-seed operands.
 
-Times `TruncSeries * TruncSeries` on windows of width 14-16, dense or
-holding a polynomial of degree 2-6 (the operands of `nth_root`, `compose`
-and the KdV flows), and `TimesSeries * TimesSeries` on 58-term by 16-term
+Times `TruncSeries * TruncSeries`, `TruncSeries + TruncSeries` and
+`TruncSeries.derivative` on windows of width 14-16, dense or holding a
+polynomial of degree 2-6 (the operands of `nth_root`, `compose` and the KdV
+flows; the derivative is of the first operand of each pair), and `TimesSeries * TimesSeries` on 58-term by 16-term
 series at weighted bounds 8 and 12 (the operands of `toda_tau`,
 `tau_determinant` and `hirota_residual`).  On flows-sized operators (monic
 L of order 2 and 3 whose lower coefficients are degree-6 polynomials in
@@ -11,7 +12,7 @@ order-12 windows), it times `nth_root(L, n, -8)` and `compose(R, R, -8)` of
 that root R with itself.  Coefficients are fractions with mixed small
 denominators.  Each sample times a fixed batch of calls; the script prints
 one JSON object with the median and every sample per kernel, in
-microseconds per product or milliseconds per call.  It uses only the public
+microseconds per series operation or milliseconds per call.  It uses only the public
 API, so it runs unchanged on any checkout of this repository.
 
     python3 tools/time_kernels.py --repeats 11
@@ -26,7 +27,7 @@ import statistics
 import sys
 import time
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -119,6 +120,8 @@ def main(argv=None) -> int:
     ops = operator_operands(rng)
     kernels = {
         "series_mul_us": (mul, trunc, 1e6),
+        "series_add_us": (add, trunc, 1e6),
+        "series_derivative_us": (lambda a, b: a.derivative(), trunc, 1e6),
         "times_mul_us": (mul, times, 1e6),
         "compose_ms": (lambda n, L, R: compose(R, R, DEPTH), ops, 1e3),
         "nth_root_ms": (lambda n, L, R: nth_root(L, n, DEPTH), ops, 1e3),
