@@ -74,10 +74,7 @@ def _image(tau: TimesSeries, k: int, e: int) -> TimesSeries:
 
 
 def same_annihilators(a: list[AnnihilatorOp], b: list[AnnihilatorOp]) -> bool:
-    """Do two echelonized bases span the same operator space?"""
-    if len(a) != len(b):
-        return False
-    coeffs = [dict(op.coeffs) for op in a + b]
-    monos = sorted({ke for c in coeffs for ke in c})
-    rows = [[c.get(ke, Fraction(0)) for ke in monos] for c in coeffs]
-    return linalg.rank(rows) == linalg.rank(rows[:len(a)])
+    """Do two bases span the same operator space (equal reduced echelons)?"""
+    coeffs = [[dict(op.coeffs) for op in ops] for ops in (a, b)]
+    monos = sorted({ke for c in coeffs[0] + coeffs[1] for ke in c})
+    return linalg.echelon(coeffs[0], monos) == linalg.echelon(coeffs[1], monos)

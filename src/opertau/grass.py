@@ -36,22 +36,26 @@ def _clean(col: dict[int, Scalar]) -> Column:
 
 
 class GrassPoint:
-    """Window model of a subspace commensurable with the polynomial half."""
+    """Window model of a subspace commensurable with the polynomial half;
+    its frame is the echelon over the degrees hi-1 .. lo, sorted by pivot."""
 
-    __slots__ = ("window", "columns")
+    __slots__ = ("window", "columns", "pivots")
 
     def __init__(self, window: Window, columns):
         lo, hi = window
         if lo > 0 or hi < 0:
             raise BadArgument("window must contain 0")
-        cols = []
-        for col in columns:
-            col = _clean(col)
-            if any(k < lo or k >= hi for k in col):
-                raise BadArgument("column support must lie inside the window")
-            cols.append(col)
+        cols = [_clean(col) for col in columns]
+        if any(k < lo or k >= hi for col in cols for k in col):
+            raise BadArgument("column support must lie inside the window")
+        if not all(cols):
+            raise DegenerateFrame("zero column in frame")
+        rows, pivots = linalg.echelon(cols, range(hi - 1, lo - 1, -1))
+        if len(rows) < len(cols):
+            raise DegenerateFrame("linearly dependent frame columns")
         self.window = (lo, hi)
-        self.columns = _echelon(cols, (lo, hi))
+        self.columns = rows[::-1]
+        self.pivots = pivots[::-1]
 
     # -- basic data ---------------------------------------------------------
 
@@ -73,11 +77,8 @@ class GrassPoint:
         lo, hi = self.window
         floor = lo if ignore_below is None else ignore_below
         col = {k: v for k, v in _clean(col).items() if k < hi}
-        rest = linalg.remainder(col, self.columns, self._pivots())
+        rest = linalg.remainder(col, self.columns, self.pivots)
         return all(k < floor for k in rest)
-
-    def _pivots(self) -> list[int]:
-        return [max(c) for c in self.columns]
 
     def shift_within(self, other: "GrassPoint", n: int) -> bool:
         """Does z^n map this frame into ``other``, away from the window edge?
@@ -89,26 +90,13 @@ class GrassPoint:
         lo, hi = self.window
         return all(
             other.contains({k + n: v for k, v in col.items()}, ignore_below=lo + n)
-            for col in self.columns
-            if max(col) + n < hi
+            for col, p in zip(self.columns, self.pivots)
+            if p + n < hi
         )
 
     def __repr__(self):
         lo, hi = self.window
         return f"GrassPoint(window=({lo},{hi}), cols={len(self.columns)}, virtdim={self.virtdim})"
-
-
-def _echelon(cols: list[Column], window: Window) -> list[Column]:
-    """Reduced column echelon by highest z-degree pivots, sorted by pivot:
-    the rref of the frame laid out as rows over the degrees hi-1, ..., lo."""
-    if not all(cols):
-        raise DegenerateFrame("zero column in frame")
-    lo, hi = window
-    degrees = range(hi - 1, lo - 1, -1)
-    red, pivots = linalg.rref([[c.get(k, _ZERO) for k in degrees] for c in cols])
-    if len(pivots) < len(cols):
-        raise DegenerateFrame("linearly dependent frame columns")
-    return [{k: v for k, v in zip(degrees, row) if v} for row in reversed(red)]
 
 
 def standard_point(window: Window) -> GrassPoint:
@@ -133,7 +121,7 @@ def plucker(W: GrassPoint, lam: tuple[int, ...]) -> Fraction:
     if lam and (len(lam) > hi or lam[0] > -lo):
         return Fraction(0)  # diagram leaves the window: model coordinate is 0
     rows = [k - (lam[k] if k < len(lam) else 0) for k in range(hi)]
-    pivots = W._pivots()
+    pivots = W.pivots
     R = [i for i, d in enumerate(rows) if d not in pivots]
     C = [j for j, p in enumerate(pivots) if p not in rows]
     d = linalg.det([[W.columns[j].get(rows[i], _ZERO) for j in C] for i in R])
@@ -167,11 +155,12 @@ def tau_determinant(W: GrassPoint, degree: int) -> TimesSeries:
 
     Multiplies the frame by exp(sum t_k z^k) and takes the coefficient of
     the vacuum wedge: the determinant of rows [0, hi) of the evolved frame.
+    Only h_r with r <= degree are built: cut to the degree, the rest are 0.
     """
     if W.virtdim != 0:
         raise ChargeMismatch("tau requires charge 0; shift the point first")
     lo, hi = W.window
-    hs = [h_complete(r).truncate(degree) for r in range(hi - lo)]
+    hs = [h_complete(r).truncate(degree) for r in range(min(hi - lo, degree + 1))]
     m: list[list[TimesSeries]] = []
     for r in range(0, hi):
         row = []

@@ -247,7 +247,10 @@ class RatFunc:
         return (self.num * other.den) == (other.num * self.den)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        # -num / den is still gcd-reduced with the same canonical denominator
+        r = object.__new__(RatFunc)
+        r.num, r.den = -self.num, self.den
+        return r
 
     def __add__(self, other):
         other = RatFunc.from_scalar(other)
@@ -256,7 +259,8 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-RatFunc.from_scalar(other))
+        other = RatFunc.from_scalar(other)
+        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, other):
         other = RatFunc.from_scalar(other)
@@ -535,26 +539,19 @@ class WedgeReducer:
     """
 
     def __init__(self, win: TensorWindow):
-        basis = win.basis()
-        self.basis = basis
-        self.index = {k: i for i, k in enumerate(basis)}
-        gens = [g for i in range(1, win.N) for g in _image_gens(win, i)]
-        rows = [
-            [RatFunc.from_scalar(g.get(k, ZERO)) for k in basis] for g in gens
-        ]
-        echelon, self.pivots = linalg.rref(rows, RatFunc.invert)
-        self.rows = [{j: x for j, x in enumerate(row) if x} for row in echelon]
-        self.quotient_dim = len(basis) - len(self.pivots)
+        self.window = win
+        gens = [{k: RatFunc(c) for k, c in g.items()} for i in range(1, win.N)
+                for g in _image_gens(win, i)]
+        self.rows, self.pivots = linalg.echelon(gens, win.basis(), RatFunc.invert)
+        self.quotient_dim = win.dim ** win.N - len(self.pivots)
 
     def reduce(self, v: QVector) -> dict:
         """Canonical representative as {key: RatFunc}."""
-        work: dict[int, RatFunc] = {}
-        for k, c in v.items():
-            if k not in self.index:
-                raise WindowOverflow("vector leaves the reducer's window")
-            work[self.index[k]] = RatFunc.from_scalar(c)
-        rest = linalg.remainder(work, self.rows, self.pivots)
-        return {self.basis[j]: c for j, c in rest.items()}
+        slots, N = set(self.window.slots()), self.window.N
+        if any(len(k) != N or not slots.issuperset(k) for k in v):
+            raise WindowOverflow("vector leaves the reducer's window")
+        work = {k: RatFunc.from_scalar(c) for k, c in v.items()}
+        return linalg.remainder(work, self.rows, self.pivots)
 
 
 def q_antisymmetrize(win: TensorWindow, v: QVector) -> dict:

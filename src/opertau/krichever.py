@@ -318,7 +318,8 @@ class AffineFlagPoint:
 
 def miura_to_flag(M: MiuraOper, window: Window) -> AffineFlagPoint:
     """Flag point of a Miura datum: W_n from the Krichever map, refined by
-    the columns of the inverse gauge matrix at t = 0."""
+    the columns of the inverse gauge matrix at t = 0.  W_0 is spanned by the
+    shifted waves z^n w_j, and W_(i+1) extends W_i by gauge column i."""
     n = M.n
     lo, hi = window
     if hi < n:
@@ -329,23 +330,18 @@ def miura_to_flag(M: MiuraOper, window: Window) -> AffineFlagPoint:
     G0 = [[G[i][k].coeff(0) for k in range(n)] for i in range(n)]
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     G0inv = [row[n:] for row in linalg.rref([a + b for a, b in zip(G0, eye)])[0]]
-    chain: list[GrassPoint] = []
-    w0_cols = [
+    gauge: list[dict] = [{} for _ in range(n)]  # gauge[i] = sum_j G0inv[j][i] w_j
+    for i in range(n):
+        for j in range(n):
+            for k, v in waves[j].items():
+                gauge[i][k] = gauge[i].get(k, 0) + G0inv[j][i] * v
+    chain = [GrassPoint(window, [
         {k + n: v for k, v in col.items() if k + n < hi}
         for col in waves
         if max(col) + n < hi
-    ]
-    for i in range(n + 1):
-        cols = [dict(c) for c in w0_cols]
-        for colidx in range(i):
-            vec: dict[int, Fraction] = {}
-            for j in range(n):
-                c = G0inv[j][colidx]
-                if c:
-                    for k, v in waves[j].items():
-                        vec[k] = vec.get(k, Fraction(0)) + c * v
-            cols.append(vec)
-        chain.append(GrassPoint(window, cols))
+    ])]
+    for col in gauge:
+        chain.append(GrassPoint(window, chain[-1].columns + [col]))
     flag = AffineFlagPoint(n, tuple(chain))
     flag.validate()
     return flag
@@ -407,11 +403,9 @@ def main_theorem_check(
     F = flag if flag is not None else miura_to_flag(M, window)
     W_direct = krichever_point(S, window)
     try:
-        W_flag = flag_to_grass(F)
-        frames_match = W_flag == W_direct
+        frames_match = flag_to_grass(F) == W_direct
     except BadArgument:
         frames_match = False
-        W_flag = F.chain[F.n]
     tau = tau_schur(W_direct, degree + 4)
     residual = hirota_residual(tau, degree)
     hirota_zero = residual.is_zero

@@ -5,11 +5,13 @@ Matrices are lists of rows.  The kernel is generic over the element ring
 ``TimesSeries``); an element must support ``+``, ``-`` (binary and unary)
 and ``*``, and its truth value must be False exactly for zero.  The caller
 passes ``inverse`` (default ``1 / x``, for ``Fraction``).  ``rref``,
-``rank`` and ``det`` are views of that kernel.  ``nullspace`` works over Q
-only, and so does ``relations``, which lays sparse vectors out as the
+``rank``, ``det`` and ``echelon`` are views of that kernel; ``echelon``
+gives the reduced basis of the span of sparse vectors {key: entry}, which
+is how window frames, flag members and the q-wedge quotient are stored, and
+``remainder`` reduces a sparse vector against it.  ``nullspace`` works over
+Q only, and so does ``relations``, which lays sparse vectors out as the
 columns of a matrix and takes its nullspace: no caller needs a kernel over
 another ring (the q-wedge spans its kernels as images, see ``hecke``).
-``remainder`` reduces a sparse vector against an echelon.
 
 Over a field any nonzero entry is a pivot.  ``det`` also takes ``unit``,
 which says which entries may be pivots in a ring, and sets the columns
@@ -81,6 +83,19 @@ def rref(m: Matrix, inverse=_reciprocal) -> tuple[Matrix, list[int]]:
     m = [row[:] for row in m]
     pivots, _, _ = _eliminate(m, inverse, bool)
     return m, pivots
+
+
+def echelon(vectors: list[dict], keys, inverse=_reciprocal) -> tuple[list[dict], list]:
+    """Sparse vectors {key: entry} laid out as rows over ``keys`` (in order,
+    holding every key used): the nonzero rows of their ``rref``, sparse, and
+    each row's pivot key.  It depends only on the span of the vectors."""
+    x = next((x for v in vectors for x in v.values()), None)
+    if x is None:
+        return [], []
+    keys, zero = list(keys), x - x
+    red, pivots = rref([[v.get(k, zero) for k in keys] for v in vectors], inverse)
+    rows = [{k: x for k, x in zip(keys, row) if x} for row in red[:len(pivots)]]
+    return rows, [keys[p] for p in pivots]
 
 
 def rank(m: Matrix, inverse=_reciprocal) -> int:

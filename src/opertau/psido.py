@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import BadArgument, NotMonic, TailOverflow
 from .series import DEFAULT_ORDER, DualSeries, TruncSeries, _dot
@@ -28,15 +29,7 @@ DEFAULT_TAIL_DEPTH = -8
 @lru_cache(maxsize=None)
 def _binom(i: int, k: int) -> int:
     """Generalized binomial C(i, k) for any integer i, k >= 0 (integer)."""
-    num = 1
-    for j in range(k):
-        num *= i - j
-    den = 1
-    for j in range(2, k + 1):
-        den *= j
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+    return comb(i, k) if i >= 0 else (-1) ** k * comb(k - i - 1, k)
 
 
 def _depth_max(a: int | None, b: int | None) -> int | None:

@@ -188,9 +188,6 @@ class TruncSeries:
     def is_one(self) -> bool:
         return self.order >= 1 and self.pole == 0 and self.nums == (1,) and self.den == 1
 
-    def known(self, k: int) -> bool:
-        return k < self.order
-
     def coeff(self, k: int) -> Fraction:
         """Coefficient of t^k; raises if k is beyond the trusted window."""
         if k >= self.order:

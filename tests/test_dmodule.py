@@ -48,3 +48,18 @@ class TestAnnihilators:
         assert same_annihilators(a, b)
         c = annihilator_basis(TimesSeries.one(9), 2, 1)
         assert not same_annihilators(a, c)
+
+    def test_same_span_in_another_basis(self):
+        # a basis mixed by an invertible matrix spans the same space; a
+        # proper subset or a basis of another tau does not
+        a = annihilator_basis(exp_t1(F(2), 9), 2, 1)
+        assert len(a) >= 2
+        mixed = {}
+        for op, s in ((a[0], F(3)), (a[1], F(-1, 2))):
+            for ke, c in op.coeffs:
+                mixed[ke] = mixed.get(ke, 0) + s * c
+        b = [AnnihilatorOp(tuple(mixed.items()), a[0].verified_degree)] + a[1:]
+        assert same_annihilators(a, b) and same_annihilators(b, a)
+        assert not same_annihilators(a, a[1:])
+        assert not same_annihilators(a, annihilator_basis(exp_t1(F(3), 9), 2, 1))
+        assert same_annihilators([], [])

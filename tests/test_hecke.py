@@ -184,6 +184,32 @@ class TestQPoly:
         assert RatFunc(Q * Q - 1, Q + 1) == RatFunc.from_scalar(Q - 1)
 
 
+def typed_terms(p: QPoly) -> dict:
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
+def reference_neg(r: RatFunc) -> RatFunc:
+    """Negation as it was: re-canonicalized through the constructor."""
+    return RatFunc(-r.num, r.den)
+
+
+class TestRatFuncSigns:
+    # -r and a - b are built without a second canonical form; they must give
+    # the num and den the old expressions -> RatFunc(-num, den) and
+    # a + (-b) gave, term by term and with the same coefficient types
+    @settings(max_examples=80, deadline=None)
+    @given(laurent, laurent.filter(lambda d: any(d.values())),
+           laurent, laurent.filter(lambda d: any(d.values())))
+    def test_neg_and_sub_equal_the_old_expressions(self, a, b, c, d):
+        x, y = RatFunc(QPoly(a), QPoly(b)), RatFunc(QPoly(c), QPoly(d))
+        for got, want in ((-x, reference_neg(x)), (x - y, x + reference_neg(y)),
+                          (x - x, x + reference_neg(x)),
+                          (x - QPoly(c), x + reference_neg(RatFunc(QPoly(c)))),
+                          (x - 3, x + reference_neg(RatFunc.from_scalar(3)))):
+            assert typed_terms(got.num) == typed_terms(want.num)
+            assert typed_terms(got.den) == typed_terms(want.den)
+
+
 class TestPureColorRule:
     def test_matches_displayed_rmatrix(self):
         # on z-degree-zero slots T is exactly the displayed color rule
@@ -491,3 +517,48 @@ class TestLocalEqualsFull:
             assert got == "WindowOverflow"
         if win.N > 1 and win.zrange == (-1, 1):
             assert ("T_1 T_1^-1 = 1", False) in got
+
+
+# -- the q-wedge reducer against the index-keyed dense reducer it replaced ------
+
+
+def reference_representatives(win: TensorWindow) -> list[dict]:
+    """Each basis vector's representative as the reducer first computed it:
+    rows of a dense RatFunc matrix over basis indices, ``linalg.rref``, and
+    reduction on indices mapped back to keys."""
+    basis = win.basis()
+    index = {k: i for i, k in enumerate(basis)}
+    gens = [g for i in range(1, win.N) for g in _image_gens(win, i)]
+    rows = [[RatFunc.from_scalar(g.get(k, QPoly())) for k in basis] for g in gens]
+    echelon, pivots = linalg.rref(rows, RatFunc.invert)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in echelon]
+    out = []
+    for key in basis:
+        work = {index[key]: RatFunc.from_scalar(ONE)}
+        rest = linalg.remainder(work, sparse, pivots)
+        out.append({basis[j]: c for j, c in rest.items()})
+    return out
+
+
+class TestReducerReference:
+    @pytest.mark.parametrize("n, N, zrange", [
+        (2, 2, (0, 1)), (2, 3, (0, 1)), (3, 2, (0, 1)), (2, 2, (-1, 1)),
+    ])
+    def test_representatives_equal_the_dense_reducer(self, n, N, zrange):
+        win = TensorWindow(n, N, zrange)
+        red = WedgeReducer(win)
+        basis = win.basis()
+        got = [red.reduce(basis_vector(key)) for key in basis]
+        want = reference_representatives(win)
+        assert any(rep != {key: RatFunc(ONE)} for rep, key in zip(got, basis))
+        for g, w in zip(got, want):
+            assert list(g) == list(w)
+            for key in g:
+                assert typed_terms(g[key].num) == typed_terms(w[key].num)
+                assert typed_terms(g[key].den) == typed_terms(w[key].den)
+
+    def test_keys_outside_the_window_overflow(self):
+        red = WedgeReducer(TensorWindow(2, 2, (0, 1)))
+        for key in (((1, 0), (1, 2)), ((3, 0), (1, 0)), ((1, 0),), ((1, 0), (1, 0), (1, 0))):
+            with pytest.raises(WindowOverflow):
+                red.reduce({key: ONE})

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from opertau import jsonio
+from opertau import jsonio, linalg
 from opertau.errors import BadArgument, NotCommuting, WindowOverflow
 from opertau.grass import GrassPoint, standard_point, tau_schur
 from opertau.krichever import (
@@ -23,7 +23,8 @@ from opertau.krichever import (
     n_reduction_holds,
     wave_columns,
 )
-from opertau.oper import MiuraOper, ScalarOper, miura_transform
+from opertau.oper import (MiuraOper, ScalarOper, bidiagonal_matrix, gauge_reduce_with_matrix,
+                          miura_transform)
 from opertau.psido import PsiDO, commutator, compose, nth_root
 from opertau.series import TruncSeries, tpoly
 
@@ -358,6 +359,43 @@ class TestFlags:
         flag = miura_to_flag(M, (-6, 6))
         W = krichever_point(miura_transform(M), (-6, 6))
         assert flag_to_grass(flag) == W
+
+
+def reference_chain(M: MiuraOper, window) -> tuple:
+    """The flag chain as first built: member i echelonized from scratch out
+    of the shifted waves and gauge columns 0 .. i-1, rebuilt per member."""
+    n, (lo, hi) = M.n, window
+    waves = wave_columns(miura_transform(M), window)
+    _, G = gauge_reduce_with_matrix(bidiagonal_matrix(M))
+    G0 = [[G[i][k].coeff(0) for k in range(n)] for i in range(n)]
+    eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    G0inv = [row[n:] for row in linalg.rref([a + b for a, b in zip(G0, eye)])[0]]
+    w0_cols = [{k + n: v for k, v in col.items() if k + n < hi}
+               for col in waves if max(col) + n < hi]
+    chain = []
+    for i in range(n + 1):
+        cols = [dict(c) for c in w0_cols]
+        for colidx in range(i):
+            vec = {}
+            for j in range(n):
+                c = G0inv[j][colidx]
+                if c:
+                    for k, v in waves[j].items():
+                        vec[k] = vec.get(k, F(0)) + c * v
+            cols.append(vec)
+        chain.append(GrassPoint(window, cols))
+    return tuple(chain)
+
+
+@pytest.mark.parametrize("name", ["miura_n2.json", "miura_n3.json"])
+@pytest.mark.parametrize("window", [(-10, 12), (-6, 6)])
+def test_chain_extends_member_by_member_as_the_from_scratch_chain(name, window):
+    M = jsonio.miura_from_json(json.loads((DATA / name).read_text()))
+    got, want = miura_to_flag(M, window).chain, reference_chain(M, window)
+    assert got == want
+    for W, V in zip(got, want):
+        assert W.pivots == V.pivots == [max(c) for c in V.columns]
+        assert [list(c.items()) for c in W.columns] == [list(c.items()) for c in V.columns]
 
 
 class TestMainTheorem:

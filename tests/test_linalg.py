@@ -1,11 +1,12 @@
 """Oracle tests of the elimination kernel in ``opertau.linalg``.
 
 Pluecker minors and ``tau_determinant`` share ``linalg.det``, and the frame
-echelon, the q-wedge quotient and the relations share ``linalg.rref``, so a
-fault in the kernel could hide behind the tau-consistency oracle.  Here it is
-checked against definitions that use no elimination: the Leibniz permutation
-sum, the defining properties of a reduced echelon form, and the rank as the
-size of the largest nonzero minor.
+echelon, the flag members, the q-wedge quotient (all through
+``linalg.echelon``) and the relations share ``linalg.rref``, so a fault in
+the kernel could hide behind the tau-consistency oracle.  Here it is checked
+against definitions that use no elimination: the Leibniz permutation sum,
+the defining properties of a reduced echelon form, and the rank as the size
+of the largest nonzero minor.
 """
 
 from fractions import Fraction
@@ -66,6 +67,26 @@ def check_rref(m, red, pivots, one):
                 acc = acc + v[p] * red[r][c]
             assert acc == x
     assert len(pivots) == minor_rank(m, one)
+
+
+def check_echelon(vectors, keys, got, one, *inverse):
+    """``got`` = (rows, pivots) is a reduced echelon basis of the span of the
+    sparse ``vectors`` over ``keys``: each row is 1 at its pivot, has no key
+    before it and no entry at another row's pivot, the pivots follow the key
+    order, no zero is stored, and every vector reduces to nothing against it;
+    echelonizing the rows again gives them back."""
+    rows, pivots = got
+    assert len(rows) == len(pivots)
+    place = {k: i for i, k in enumerate(keys)}
+    assert [place[p] for p in pivots] == sorted({place[p] for p in pivots})
+    for row, p in zip(rows, pivots):
+        assert row[p] == one and all(row.values())
+        assert all(place[k] >= place[p] for k in row)
+        assert list(row) == sorted(row, key=place.get)
+        assert not any(p in other for other in rows if other is not row)
+    for v in vectors:
+        assert linalg.remainder(v, rows, pivots) == {}
+    assert linalg.echelon(rows, keys, *inverse) == got
 
 
 small = st.integers(-3, 3).map(F) | st.sampled_from([F(0)] * 3 + [F(1, 2), F(-2, 3)])
@@ -131,11 +152,17 @@ class TestDeterminant:
 
 class TestEchelon:
     @settings(max_examples=120, deadline=None)
-    @given(fraction_matrices(square=False))
-    def test_fraction_rref(self, m):
+    @given(st.data())
+    def test_fraction_rref(self, data):
+        m = data.draw(fraction_matrices(square=False))
         red, pivots = linalg.rref(m)
         check_rref(m, red, pivots, F(1))
         assert linalg.rank(m) == len(pivots)
+        keys = data.draw(st.permutations([f"k{c}" for c in range(len(m[0]))]))
+        vectors = [{k: x for k, x in zip(keys, row) if x} for row in m]
+        got = linalg.echelon(vectors, keys)
+        check_echelon(vectors, keys, got, F(1))
+        assert len(got[0]) == linalg.rank(m)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -150,6 +177,16 @@ class TestEchelon:
         red, pivots = linalg.rref(m, RatFunc.invert)
         check_rref(m, red, pivots, RatFunc(ONE))
         assert linalg.rank(m, RatFunc.invert) == len(pivots)
+        keys = data.draw(st.permutations(range(cols)))
+        vectors = [{k: x for k, x in zip(keys, row) if x} for row in m]
+        got = linalg.echelon(vectors, keys, RatFunc.invert)
+        check_echelon(vectors, keys, got, RatFunc(ONE), RatFunc.invert)
+        assert len(got[0]) == linalg.rank(m, RatFunc.invert)
+
+    def test_echelon_of_nothing(self):
+        assert linalg.echelon([], range(3)) == ([], [])
+        assert linalg.echelon([{}, {}], range(3)) == ([], [])
+        assert linalg.echelon([{1: F(2)}, {}], range(3)) == ([{1: F(1)}], [1])
 
     @settings(max_examples=60, deadline=None)
     @given(fraction_matrices(square=False))
@@ -217,6 +254,7 @@ class TestGrassEchelon:
         W = GrassPoint(window, cols)
         got = [max(c) for c in W.columns]
         assert got == pivots
+        assert W.pivots == [max(c) for c in W.columns]
         for p, col in zip(got, W.columns):
             assert col[p] == 1
             assert all(col.get(q, 0) == 0 for q in got if q != p)

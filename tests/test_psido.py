@@ -411,6 +411,26 @@ def reference_product(a, b):
                       reference_mul(a.re, b.du) + reference_mul(a.du, b.re))
 
 
+def reference_binom(i, k):
+    """C(i, k) as the falling-factorial product over k!, for any integer i."""
+    num = 1
+    for j in range(k):
+        num *= i - j
+    den = 1
+    for j in range(2, k + 1):
+        den *= j
+    q, r = divmod(num, den)
+    assert r == 0
+    return q
+
+
+def test_binom_equals_the_product_loop():
+    for i in range(-40, 41):
+        for k in range(41):
+            assert _binom(i, k) == reference_binom(i, k), (i, k)
+            assert type(_binom(i, k)) is int
+
+
 def reference_compose_coeff(A, B, o, derivs=None):
     """The old chain: derivatives of Fraction series, ``(a * bk) *
     Fraction(coef)`` per term, summed by ``total + term``."""

@@ -9,7 +9,11 @@ series at weighted bounds 8 and 12 (the operands of `toda_tau`,
 `tau_determinant` and `hirota_residual`).  On flows-sized operators (monic
 L of order 2 and 3 whose lower coefficients are degree-6 polynomials in
 order-12 windows), it times `nth_root(L, n, -8)` and `compose(R, R, -8)` of
-that root R with itself.  Coefficients are fractions with mixed small
+that root R with itself.  It also times `miura_to_flag` on the two
+`main-check` data of `tests/data` at the window (-10, 12), with the wave
+columns cached after the warm-up (so the gauge columns and the echelons of
+the chain), and one `WedgeReducer` on `TensorWindow(2, 3, (0, 1))` plus the
+reduction of every basis vector.  Coefficients are fractions with mixed small
 denominators.  Each sample times a fixed batch of calls; the script prints
 one JSON object with the median and every sample per kernel, in
 microseconds per series operation or milliseconds per call.  It uses only the public
@@ -32,6 +36,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from opertau.hecke import TensorWindow, WedgeReducer, basis_vector  # noqa: E402
+from opertau.jsonio import miura_from_json  # noqa: E402
+from opertau.krichever import miura_to_flag  # noqa: E402
 from opertau.psido import PsiDO, compose, nth_root  # noqa: E402
 from opertau.series import TruncSeries  # noqa: E402
 from opertau.times import TimesSeries, weight  # noqa: E402
@@ -41,6 +48,8 @@ PAIRS = 40  # products per sample and kernel
 OPERATORS = 4  # operators per sample for compose and nth_root
 DEPTH = -8  # the tail depth of the flows workload
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27)
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+FLAG_WINDOW = (-10, 12)
 
 
 def _coeff(rng: random.Random) -> Fraction:
@@ -102,6 +111,11 @@ def operator_operands(rng: random.Random) -> list[tuple[int, PsiDO, PsiDO]]:
     return out
 
 
+def wedge(win: TensorWindow) -> list[dict]:
+    red = WedgeReducer(win)
+    return [red.reduce(basis_vector(key)) for key in win.basis()]
+
+
 def _sample(call, operands, scale: float) -> float:
     start = time.perf_counter()
     for args in operands:
@@ -118,6 +132,8 @@ def main(argv=None) -> int:
     rng = random.Random(SEED)
     trunc, times = trunc_operands(rng), times_operands(rng)
     ops = operator_operands(rng)
+    miuras = [(miura_from_json(json.loads((DATA / f"miura_n{n}.json").read_text())),)
+              for n in (2, 3)]
     kernels = {
         "series_mul_us": (mul, trunc, 1e6),
         "series_add_us": (add, trunc, 1e6),
@@ -125,6 +141,8 @@ def main(argv=None) -> int:
         "times_mul_us": (mul, times, 1e6),
         "compose_ms": (lambda n, L, R: compose(R, R, DEPTH), ops, 1e3),
         "nth_root_ms": (lambda n, L, R: nth_root(L, n, DEPTH), ops, 1e3),
+        "miura_to_flag_ms": (lambda M: miura_to_flag(M, FLAG_WINDOW), miuras, 1e3),
+        "wedge_reducer_ms": (wedge, [(TensorWindow(2, 3, (0, 1)),)], 1e3),
     }
     samples: dict[str, list[float]] = {name: [] for name in kernels}
     for kernel in kernels.values():
