@@ -24,7 +24,7 @@ from .errors import BadArgument, ChargeMismatch, DegenerateFrame
 from .schur import _power_sum, h_complete, mn_character
 from .series import Scalar, _integer_row, rat
 from .fock import partitions
-from .times import TimesSeries
+from .times import TimesSeries, _dot
 
 Column = dict[int, Fraction]
 Window = tuple[int, int]
@@ -194,10 +194,12 @@ def hirota_residual(tau: TimesSeries, degree: int) -> TimesSeries:
         D2^2 f.f   = 2 (f_22 f - f_2^2)
         D1 D3 f.f  = 2 (f_13 f - f_1 f_3)
 
-    seven products in all.  A coefficient of weight <= degree of a product
-    reads only factor coefficients of weight <= degree, so every factor is
-    cut to ``degree`` before it is multiplied (each derivative of a tau
-    known through degree + 4 is known that far).
+    seven products in all, taken as one integer sum of products
+    (``times._dot`` with the coefficients 2, -8, 6, 6, -6, -8, 8), so each
+    term of the residual gets one ``Fraction``.  A coefficient of weight <=
+    degree of a product reads only factor coefficients of weight <= degree,
+    so every factor is cut to ``degree`` before it is multiplied (each
+    derivative of a tau known through degree + 4 is known that far).
     """
     if degree < 0:
         raise BadArgument(f"the Hirota residual needs a degree >= 0, got {degree}")
@@ -216,12 +218,8 @@ def hirota_residual(tau: TimesSeries, degree: int) -> TimesSeries:
     f13 = f3.derivative(1).truncate(degree)
     f2 = f2.truncate(degree)
     f3 = f3.truncate(degree)
-    r = (
-        (f1111 * f - f111 * f1 * 4 + f11 * f11 * 3)
-        + (f22 * f - f2 * f2) * 3
-        - (f13 * f - f1 * f3) * 4
-    )
-    return r * 2
+    return _dot([(2, f1111, f), (-8, f111, f1), (6, f11, f11),
+                 (6, f22, f), (-6, f2, f2), (-8, f13, f), (8, f1, f3)], degree)
 
 
 def random_perturbed_frame(rng, window: Window, ncols_perturbed: int = 2) -> GrassPoint:

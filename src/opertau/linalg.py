@@ -4,10 +4,10 @@ Matrices are lists of rows.  The kernel is generic over the element ring
 (``Fraction``, the rational functions ``hecke.RatFunc``, the truncated
 ``TimesSeries``); an element must support ``+``, ``-`` (binary and unary)
 and ``*``, and its truth value must be False exactly for zero.  The caller
-passes ``inverse`` (default ``1 / x``, for ``Fraction``).  ``rref``,
-``rank``, ``det`` and ``echelon`` are views of that kernel; ``echelon``
-gives the reduced basis of the span of sparse vectors {key: entry}, which
-is how window frames, flag members and the q-wedge quotient are stored, and
+passes ``inverse`` (default ``1 / x``, for ``Fraction``).  ``rref``, ``det``
+and ``echelon`` are views of that kernel; ``echelon`` gives the reduced
+basis of the span of sparse vectors {key: entry}, which is how window
+frames, flag members and the q-wedge quotient are stored, and
 ``remainder`` reduces a sparse vector against it.  ``nullspace`` works over
 Q only, and so does ``relations``, which lays sparse vectors out as the
 columns of a matrix and takes its nullspace: no caller needs a kernel over
@@ -96,10 +96,6 @@ def echelon(vectors: list[dict], keys, inverse=_reciprocal) -> tuple[list[dict],
     red, pivots = rref([[v.get(k, zero) for k in keys] for v in vectors], inverse)
     rows = [{k: x for k, x in zip(keys, row) if x} for row in red[:len(pivots)]]
     return rows, [keys[p] for p in pivots]
-
-
-def rank(m: Matrix, inverse=_reciprocal) -> int:
-    return len(_eliminate([row[:] for row in m], inverse, bool, jordan=False)[0])
 
 
 def nullspace(m: Matrix, ncols: int | None = None) -> list[list]:

@@ -11,24 +11,26 @@ exponent tuples without trailing zeros, no key weighs more than the bound,
 and no coefficient is zero.  The public constructor establishes it from
 arbitrary input; the arithmetic keeps it by construction (the sum of two
 trimmed nonnegative tuples is trimmed) and builds its results with the
-trusted ``_make``, which only drops zero coefficients.  A product term
-weighs the sum of its factors' weights, so ``*`` sorts the right factor by
-weight once and stops each row at the bound.
+trusted ``_make``, which only drops zero coefficients.
 
-Every coefficient in and out is a :class:`fractions.Fraction`.  ``*``
-accumulates integers internally: each factor becomes integer numerators over
-the lcm of its denominators (``series._integer_row``), and each output
-coefficient is made once from its integer sum over the product of the two
-denominators.
+Every coefficient in and out is a :class:`fractions.Fraction`, but products
+sum integers: ``_graded`` splits a series into homogeneous parts over d, the
+lcm of its denominators, and ``_dot`` sums c·a·b part by part (skipping pairs
+of parts that weigh more than the bound), one ``Fraction`` per output term;
+``*`` is one triple, ``grass.hirota_residual`` seven.  ``exp`` and ``invert``
+are one graded pass each (Brent and Kung 1978), from m·E_m = Σ_j j·g_j·E_(m−j)
+for E = exp(g) and g_0·E_m = −Σ_(j≥1) g_j·E_(m−j) for E = 1/g, with N_0 = 1:
+
+    exp:     N_m = Σ_j j·G_j·d^(j−1)·(m−1)!/(m−j)!·N_(m−j),  E_m = N_m / (m!·d^m)
+    invert:  N_m = −Σ_j G_j·G_0^(j−1)·N_(m−j),             E_m = d·N_m / G_0^(m+1)
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import count, islice, repeat
-from math import factorial
-from operator import add, itemgetter, mul
+from itertools import count
+from math import factorial, lcm
+from operator import add, mul
 from typing import Iterable
 
 from .series import Scalar, _integer_row, rat
@@ -197,28 +199,12 @@ class TimesSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return TimesSeries._make({k: c * v for k, v in self.terms.items()}, self.bound)
+            a, b = rat(other).as_integer_ratio()
+            terms = {k: Fraction(a * v.numerator, b * v.denominator) for k, v in self.terms.items()}
+            return TimesSeries._make(terms, self.bound)
         if not isinstance(other, TimesSeries):
             return NotImplemented
-        bound = _min_bound(self.bound, other.bound)
-        nums, d1 = _integer_row(self.terms.values())
-        onums, d2 = _integer_row(other.terms.values())
-        graded = sorted(
-            ((weight(k), k[0], k[1], n) for k, n in zip(other.terms, onums)),
-            key=itemgetter(0),
-        )
-        weights = [g[0] for g in graded]
-        out: dict[Key, int] = {}
-        for (e1, p1), n1 in zip(self.terms, nums):
-            row = graded
-            if bound is not None:
-                row = graded[: bisect_right(weights, bound - weight((e1, p1)))]
-            for _, e2, p2, n2 in row:
-                key = (_add_expo(e1, e2), _add_expo(p1, p2))
-                out[key] = out.get(key, 0) + n1 * n2
-        den = d1 * d2
-        return TimesSeries._make({k: Fraction(n, den) for k, n in out.items()}, bound)
+        return _dot([(1, self, other)], _min_bound(self.bound, other.bound))
 
     __rmul__ = __mul__
 
@@ -260,7 +246,9 @@ class TimesSeries:
             raise ValueError("exp needs a finite weighted bound")
         if self.constant_term() != 0:
             raise ValueError("exp requires zero constant term")
-        return _power_sum(self, (Fraction(1, factorial(j)) for j in count(1)))
+        G, d = _graded(self)
+        return _graded_pass(G, self.bound, 1, lambda m: factorial(m) * d**m,
+                            lambda m, j: j * d ** (j - 1) * (factorial(m - 1) // factorial(m - j)))
 
     def invert(self) -> "TimesSeries":
         """Inverse of a series with nonzero constant term (finite bound)."""
@@ -269,8 +257,9 @@ class TimesSeries:
             raise ValueError("invert requires a nonzero constant term")
         if self.bound is None:
             raise ValueError("invert needs a finite weighted bound")
-        c = 1 / c0
-        return _power_sum(1 - self * c, repeat(1)) * c
+        G, d = _graded(self)
+        g0 = G[0][0][1]
+        return _graded_pass(G, self.bound, d, lambda m: g0 ** (m + 1), lambda m, j: -g0 ** (j - 1))
 
     def restrict_primary(self) -> "TimesSeries":
         """Set every t'_k = 0."""
@@ -296,20 +285,51 @@ class TimesSeries:
         return f"<{' + '.join(bits)} (bound {self.bound})>"
 
 
-def _power_sum(g: TimesSeries, coeffs: Iterable[Fraction]) -> TimesSeries:
-    """1 + sum_(j >= 1) c_j g^j through g's bound, for g with no constant term.
+def _graded(s: TimesSeries) -> tuple[dict[int, list], int]:
+    """``(parts, d)``: the terms of ``s`` as ``(key, n)`` pairs, the integer
+    n over d the lcm of the denominators, grouped by weight."""
+    nums, d = _integer_row(s.terms.values())
+    parts: dict[int, list] = {}
+    for k, n in zip(s.terms, nums):
+        parts.setdefault(weight(k), []).append((k, n))
+    return parts, d
 
-    ``coeffs`` yields c_1, c_2, ...; a c_j of 1 adds g^j unscaled.  g^j weighs
-    at least j min_weight(g), so the sum stops at j = bound // min_weight(g),
-    or earlier at the first zero power.
-    """
-    result = power = TimesSeries.one(g.bound)
-    v = g.min_weight()
-    if v is None:
-        return result
-    for c in islice(coeffs, g.bound // v):
-        power = power * g
-        if power.is_zero:
-            break
-        result = result + (power if c == 1 else power * c)
-    return result
+
+def _addmul(out: dict[Key, int], c: int, a: Iterable, b: list) -> None:
+    """out += c·a·b for rows a, b of ``(key, int)`` pairs."""
+    for (e1, p1), n1 in a:
+        n1 *= c
+        for (e2, p2), n2 in b:
+            key = (_add_expo(e1, e2), _add_expo(p1, p2))
+            out[key] = out.get(key, 0) + n1 * n2
+
+
+def _dot(triples: list, bound: int | None) -> TimesSeries:
+    """Σ c·a·b over ``(c, a, b)``, ``int`` c, cut at ``bound`` (None: no cut),
+    as one ``int`` per key over D, the lcm of the d_a·d_b."""
+    rows = [(c, _graded(a), _graded(b)) for c, a, b in triples]
+    den = lcm(*[da * db for _, (_, da), (_, db) in rows])
+    out: dict[Key, int] = {}
+    for c, (A, da), (B, db) in rows:
+        scale = den // (da * db) * c
+        for wa, ra in A.items():
+            for wb, rb in B.items():
+                if bound is None or wa + wb <= bound:
+                    _addmul(out, scale, ra, rb)
+    return TimesSeries._make({k: Fraction(n, den) for k, n in out.items() if n}, bound)
+
+
+def _graded_pass(G: dict[int, list], bound: int, num: int, den, scale) -> TimesSeries:
+    """Σ_m num·N_m / den(m) through ``bound``, with N_0 = 1 and
+    N_m = Σ_(j=1..m) scale(m, j)·G_j·N_(m−j): ``exp`` and ``invert``."""
+    N = [[(ZERO_KEY, 1)]]
+    out = {ZERO_KEY: Fraction(num, den(0))}
+    for m in range(1, bound + 1):
+        acc: dict[Key, int] = {}
+        for j in range(1, m + 1):
+            if j in G and N[m - j]:
+                _addmul(acc, scale(m, j), G[j], N[m - j])
+        N.append([(k, n) for k, n in acc.items() if n])
+        q = den(m)
+        out.update((k, Fraction(num * n, q)) for k, n in N[m])
+    return TimesSeries._make(out, bound)

@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
+from opertau import linalg
 from opertau.series import TruncSeries
 from opertau.times import TimesSeries, _trim, weight
 
@@ -27,6 +28,12 @@ def random_poly(rng, deg: int, order: int = 12, lo: int = -9, hi: int = 9,
     if not d:
         d[deg] = Fraction(1)
     return TruncSeries.from_dict(d, order)
+
+
+def rank(m, inverse=linalg._reciprocal) -> int:
+    """The number of pivots of the kernel's forward elimination (no back
+    substitution), an oracle for the pivots of ``rref`` and ``echelon``."""
+    return len(linalg._eliminate([row[:] for row in m], inverse, bool, jordan=False)[0])
 
 
 # -- completion oracle: a truncated result may claim only coefficients that

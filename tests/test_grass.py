@@ -277,7 +277,7 @@ def random_times(rng, top, bound, nterms=20):
 
 
 class TestLeibnizHirota:
-    @pytest.mark.parametrize("degree, extra", [(3, 0), (4, 0), (4, 2), (5, 1)])
+    @pytest.mark.parametrize("degree, extra", [(3, 0), (4, 0), (4, 2), (5, 1), (8, 0)])
     def test_equals_reference_on_non_kp_taus(self, degree, extra):
         rng = random.Random(7 * degree + extra)
         for _ in range(3):

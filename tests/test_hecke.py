@@ -24,6 +24,8 @@ from opertau.hecke import (
     vec_sub,
 )
 
+from .conftest import rank
+
 F = Fraction
 
 
@@ -236,8 +238,8 @@ class TestPureColorRule:
                 rows.append([RatFunc(img.get(k, QPoly())) for k in basis])
             return rows
 
-        assert linalg.rank(op_rows(Q), RatFunc.invert) == 1  # q-eigenspace has dim 3
-        assert linalg.rank(op_rows(-ONE), RatFunc.invert) == 3  # (-1)-eigenspace has dim 1
+        assert rank(op_rows(Q), RatFunc.invert) == 1  # q-eigenspace has dim 3
+        assert rank(op_rows(-ONE), RatFunc.invert) == 3  # (-1)-eigenspace has dim 1
 
 
 class TestRelations:
@@ -289,8 +291,8 @@ class TestQWedge:
             gens = _image_gens(win, i)
             assert all(not t_minus_q(g) for g in gens)
             image = [t_minus_q(e) for e in map(basis_vector, basis)]
-            kernel_dim = len(basis) - linalg.rank(dense(image), RatFunc.invert)
-            assert linalg.rank(dense(gens), RatFunc.invert) == kernel_dim > 0
+            kernel_dim = len(basis) - rank(dense(image), RatFunc.invert)
+            assert rank(dense(gens), RatFunc.invert) == kernel_dim > 0
 
     def test_window4_quotient_dimension(self):
         # window dimension 4, two factors: quotient dimension C(4,2) = 6

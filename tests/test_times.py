@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opertau.times import ZERO_KEY, TimesSeries, _min_bound, _trim, weight
+from opertau.toda import toda_tau, xi
 
 from .conftest import claims_hold, complete
 
@@ -318,6 +319,50 @@ class TestIntegerKernel:
     def test_cancelled_cross_term_leaves_no_key(self):
         a, b = KERNEL_CASES["cross terms cancel"]
         assert (a * b).terms == {((2,), ()): F(1, 4), ((0, 2), ()): F(-1, 9)}
+
+
+# -- the graded pass of exp and invert at the tau workload's sizes -------------
+
+
+def toda_exponent(p, q, bound):
+    """xi(t, p) - xi(t, q) + xi(t', 1/p) - xi(t', 1/q): one Toda pair's exponent."""
+    return xi(p, bound) - xi(q, bound) + xi(1 / p, bound, prime=True) - xi(1 / q, bound, prime=True)
+
+
+class TestGradedPass:
+    @pytest.mark.parametrize("p, q", [(F(3), F(-1, 2)), (F(2, 5), F(-3))])
+    def test_exp_identity_at_bound_12(self, p, q):
+        g = toda_exponent(p, q, 12)
+        assert any(k[1] for k in g.terms)  # primed times take part
+        assert g.exp() * (-g).exp() == TimesSeries.one(12)
+
+    @pytest.mark.parametrize("c0", [F(1), F(-5, 7)])
+    def test_invert_identity_at_bound_12(self, c0):
+        g = toda_exponent(F(3), F(-1, 2), 12)
+        for h in (toda_tau([(F(2, 3), F(3), F(-1, 2))], 12), g + c0, g.exp() * c0):
+            assert h * h.invert() == TimesSeries.one(12)
+
+    def test_bound_zero(self):
+        assert TimesSeries.zero(0).exp() == TimesSeries.one(0) == reference_exp(TimesSeries.zero(0))
+        h = TimesSeries.const(F(-2, 3), 0)
+        assert h.invert() == TimesSeries.const(F(-3, 2), 0) == reference_invert(h)
+
+    def test_smallest_weight_above_the_bound(self):
+        # t5 cut at bound 4 is zero; t3 + t'4 at bound 5 has no product term
+        cut = (t(5, bound=8) * 3).truncate(4)
+        assert cut.exp() == TimesSeries.one(4)
+        assert (cut + F(-1, 2)).invert() == TimesSeries.const(-2, 4)
+        g = t(3, bound=5) * F(1, 2) + t(4, prime=True, bound=5)
+        assert g.exp() == g + 1 == reference_exp(g)
+        assert (g + 2).invert() == reference_invert(g + 2)
+
+    def test_denominators_that_differ_by_weight(self):
+        # d = lcm(2, 9, 125, 7) scales the weights unevenly: d^m in exp
+        g = TimesSeries({T1: F(1, 2), T2: F(-4, 9), P2: F(3, 125), T3: F(2, 7),
+                         ((1,), (1,)): F(5, 3)}, 6)
+        assert g.exp() == reference_exp(g)
+        for c0 in (F(-3), F(7, 4), F(-2, 9)):
+            assert (g + c0).invert() == reference_invert(g + c0)
 
 
 # -- completion oracle (``complete`` and ``claims_hold`` live in conftest) ----

@@ -18,9 +18,13 @@ every pair, the pairs the change wins, and the change's worsening against
 the metric's bound.  ``--claim WORKLOAD:METRIC[:RATIO]`` adds a verdict:
 met when the change wins at least 9 pairs in 10, its median beats the
 parent's by more than the parent's interquartile range, and, with RATIO,
-the change median is at least RATIO times better.  The exit status is 1
-when a run fails or reports a failed op, and 0 otherwise; no metric is
-held to a threshold.
+the change median is at least RATIO times better.  Beside each verdict go
+both sides' ``host_probe_s`` median and interquartile range, and
+``probe_drift`` is true when the two probe medians differ by more than the
+parent's probe range: the host changed speed between the sides, and the
+verdict may read that drift (it is reported, not folded into ``met``).  The
+exit status is 1 when a run fails or reports a failed op, and 0 otherwise;
+no metric is held to a threshold.
 """
 
 from __future__ import annotations
@@ -117,9 +121,13 @@ def claim_verdict(spec: str, summary: dict, metrics: list[dict]) -> dict:
     met = wins * 10 >= 9 * n and ((pm - cm) if lower else (cm - pm)) > iqr
     if ratio:
         met = met and factor >= float(ratio[0])
+    probe = summary[workload]["host_probe_s"]
+    probes = {side: {"median": q["median"], "iqr": q["q3"] - q["q1"]} for side, q in probe.items()}
+    drift = abs(probes["change"]["median"] - probes["parent"]["median"]) > probes["parent"]["iqr"]
     return {"workload": workload, "metric": name, "parent_median": pm, "change_median": cm,
             "parent_iqr": iqr, "factor": round(factor, 4), "min_factor": float(ratio[0]) if ratio else None,
-            "change_better_pairs": s["change_better_pairs"], "met": met}
+            "change_better_pairs": s["change_better_pairs"], "met": met,
+            "host_probe_s": probes, "probe_drift": drift}
 
 
 def main(argv=None) -> int:

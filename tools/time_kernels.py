@@ -13,7 +13,11 @@ that root R with itself.  It also times `miura_to_flag` on the two
 `main-check` data of `tests/data` at the window (-10, 12), with the wave
 columns cached after the warm-up (so the gauge columns and the echelons of
 the chain), and one `WedgeReducer` on `TensorWindow(2, 3, (0, 1))` plus the
-reduction of every basis vector.  Coefficients are fractions with mixed small
+reduction of every basis vector.  On the operands of the tau workload, it
+times `TimesSeries.exp` of one-pair Toda exponents at bound 12 (t and t'
+times), `invert` of Plücker-Schur taus at bound 8 and `hirota_residual`
+at degree 8 of the same taus at bound 12 (frames over (-8, 8) with dense
+random tails in two columns).  Coefficients are fractions with mixed small
 denominators.  Each sample times a fixed batch of calls; the script prints
 one JSON object with the median and every sample per kernel, in
 microseconds per series operation or milliseconds per call.  It uses only the public
@@ -36,12 +40,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from opertau.grass import GrassPoint, hirota_residual, tau_schur  # noqa: E402
 from opertau.hecke import TensorWindow, WedgeReducer, basis_vector  # noqa: E402
 from opertau.jsonio import miura_from_json  # noqa: E402
 from opertau.krichever import miura_to_flag  # noqa: E402
 from opertau.psido import PsiDO, compose, nth_root  # noqa: E402
 from opertau.series import TruncSeries  # noqa: E402
 from opertau.times import TimesSeries, weight  # noqa: E402
+from opertau.toda import xi  # noqa: E402
 
 SEED = 25
 PAIRS = 40  # products per sample and kernel
@@ -50,6 +56,11 @@ DEPTH = -8  # the tail depth of the flows workload
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27)
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 FLAG_WINDOW = (-10, 12)
+TAUS = 4  # exponents and taus per sample for exp, invert and hirota_residual
+TAU_WINDOW = (-8, 8)
+POINTS = [Fraction(v) for v in (2, 3, 4, 5, -2, -3)] + [
+    Fraction(1, v) for v in (2, 3, 4, 5, -2, -3)
+]
 
 
 def _coeff(rng: random.Random) -> Fraction:
@@ -111,6 +122,23 @@ def operator_operands(rng: random.Random) -> list[tuple[int, PsiDO, PsiDO]]:
     return out
 
 
+def tau_operands(rng: random.Random) -> tuple[list, list, list]:
+    """One-pair Toda exponents at bound 12, and taus at bounds 8 and 12."""
+    exponents, tau8, tau12 = [], [], []
+    for _ in range(TAUS):
+        p, q = rng.sample(POINTS, 2)
+        g = xi(p, 12) - xi(q, 12) + xi(1 / p, 12, prime=True) - xi(1 / q, 12, prime=True)
+        exponents.append((g,))
+        lo, hi = TAU_WINDOW
+        cols = [{k: Fraction(1)} for k in range(hi)]
+        for j in (0, 1):
+            cols[j].update({k: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for k in range(lo, 0)})
+        W = GrassPoint(TAU_WINDOW, cols)
+        tau8.append((tau_schur(W, 8),))
+        tau12.append((tau_schur(W, 12),))
+    return exponents, tau8, tau12
+
+
 def wedge(win: TensorWindow) -> list[dict]:
     red = WedgeReducer(win)
     return [red.reduce(basis_vector(key)) for key in win.basis()]
@@ -132,6 +160,7 @@ def main(argv=None) -> int:
     rng = random.Random(SEED)
     trunc, times = trunc_operands(rng), times_operands(rng)
     ops = operator_operands(rng)
+    exponents, tau8, tau12 = tau_operands(rng)
     miuras = [(miura_from_json(json.loads((DATA / f"miura_n{n}.json").read_text())),)
               for n in (2, 3)]
     kernels = {
@@ -143,6 +172,9 @@ def main(argv=None) -> int:
         "nth_root_ms": (lambda n, L, R: nth_root(L, n, DEPTH), ops, 1e3),
         "miura_to_flag_ms": (lambda M: miura_to_flag(M, FLAG_WINDOW), miuras, 1e3),
         "wedge_reducer_ms": (wedge, [(TensorWindow(2, 3, (0, 1)),)], 1e3),
+        "times_exp_ms": (TimesSeries.exp, exponents, 1e3),
+        "times_invert_ms": (TimesSeries.invert, tau8, 1e3),
+        "hirota_residual_ms": (lambda tau: hirota_residual(tau, 8), tau12, 1e3),
     }
     samples: dict[str, list[float]] = {name: [] for name in kernels}
     for kernel in kernels.values():
