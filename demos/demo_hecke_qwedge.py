@@ -5,8 +5,7 @@ Run me with:  PYTHONPATH=src python3 demos/demo_hecke_qwedge.py
 
 from math import comb
 
-from opertau import TensorWindow, verify_relations
-from opertau.hecke import WedgeReducer, basis_vector
+from opertau.hecke import TensorWindow, WedgeReducer, basis_vector, verify_relations
 
 print("== every defining relation, verified as an exact matrix identity ==")
 win = TensorWindow(2, 3, (-2, 2))

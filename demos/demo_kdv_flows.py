@@ -5,16 +5,9 @@ Run me with:  PYTHONPATH=src python3 demos/demo_kdv_flows.py
 
 from fractions import Fraction
 
-from opertau import (
-    MiuraOper,
-    ScalarOper,
-    TruncSeries,
-    conserved_density,
-    lax_rhs,
-    mkdv_intertwine_check,
-    tpoly,
-    zs_residual,
-)
+from opertau.kdv import conserved_density, lax_rhs, mkdv_intertwine_check, zs_residual
+from opertau.oper import MiuraOper, ScalarOper
+from opertau.series import TruncSeries, tpoly
 
 u = tpoly({1: 1, 2: -2}, 16)  # u = t - 2 t^2
 zero = TruncSeries.zero(16)

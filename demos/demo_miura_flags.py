@@ -5,21 +5,18 @@ Run me with:  PYTHONPATH=src python3 demos/demo_miura_flags.py
 
 from fractions import Fraction
 
-from opertau import (
-    MiuraOper,
+from opertau.krichever import (
     bc_relation,
-    bidiagonal_matrix,
-    commutator,
     flag_to_grass,
-    gauge_reduce,
     krichever_point,
     main_theorem_check,
     miura_to_flag,
-    miura_transform,
-    parse_operator,
-    singular_vector_search,
-    tpoly,
 )
+from opertau.oper import MiuraOper, bidiagonal_matrix, gauge_reduce, miura_transform
+from opertau.parser import parse_operator
+from opertau.psido import commutator
+from opertau.series import tpoly
+from opertau.singular import singular_vector_search
 
 F = Fraction
 

@@ -3,18 +3,9 @@
 Run me with:  PYTHONPATH=src python3 demos/demo_operators_and_roots.py
 """
 
-from opertau import (
-    PsiDO,
-    TruncSeries,
-    commutator,
-    compose,
-    nth_root,
-    parse_operator,
-    print_operator,
-    residue,
-    split,
-    tpoly,
-)
+from opertau.parser import parse_operator, print_operator
+from opertau.psido import PsiDO, commutator, compose, nth_root, residue, split
+from opertau.series import TruncSeries, tpoly
 
 print("== the ring Q[[t]]((d^-1)) ==")
 print()

@@ -5,18 +5,10 @@ Run me with:  PYTHONPATH=src python3 demos/demo_tau_functions.py
 
 from fractions import Fraction
 
-from opertau import (
-    GrassPoint,
-    MayaState,
-    TimesSeries,
-    clifford_apply,
-    h_action,
-    hirota_residual,
-    tau_determinant,
-    tau_schur,
-    toda_tau,
-    toda_tau_bruteforce,
-)
+from opertau.fock import MayaState, clifford_apply, h_action
+from opertau.grass import GrassPoint, hirota_residual, tau_determinant, tau_schur
+from opertau.times import TimesSeries
+from opertau.toda import toda_tau, toda_tau_bruteforce
 
 F = Fraction
 H = F(1, 2)

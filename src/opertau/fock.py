@@ -92,9 +92,6 @@ class MayaState:
     def coeff(self, d: Maya) -> Fraction:
         return self.terms.get((d[0], _validate_partition(d[1])), Fraction(0))
 
-    def charges(self) -> set[int]:
-        return {m for (m, _) in self.terms}
-
     def __add__(self, other: "MayaState") -> "MayaState":
         out = dict(self.terms)
         for d, c in other.terms.items():
@@ -249,7 +246,3 @@ def window_basis(charge: int, window: int) -> list[Maya]:
         for lam in partitions(e):
             out.append((charge, lam))
     return out
-
-
-def vacuum_expectation(state: MayaState) -> Fraction:
-    return state.coeff(diagram(0))

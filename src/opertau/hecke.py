@@ -4,9 +4,7 @@ Scalars are Laurent polynomials in a formal q (never specialized except by
 the explicit q -> 1 evaluation).  Every coefficient of T_i, X_i and their
 products lies in Z[q, q^-1] and is stored as an ``int``; a ``Fraction``
 appears only after a division (``divmod_shifted``, the gcd and the
-canonical form of ``RatFunc``).  Basis labels are pairs (color, z-degree)
-with the flattened half-integer index z^j e_i <-> v_{i - n j - 1/2}
-available as a relabeling.
+canonical form of ``RatFunc``).  Basis labels are pairs (color, z-degree).
 
 The generator T_i acts on adjacent slots.  On pure colors it is the
 standard R-matrix rule
@@ -339,10 +337,6 @@ def _combine(*parts: tuple[QVector, QPoly]) -> QVector:
     return _vector(acc)
 
 
-def vec_sub(a: QVector, b: QVector) -> QVector:
-    return _combine((a, ONE), (b, -ONE))
-
-
 def basis_vector(key) -> QVector:
     return {tuple(key): ONE}
 
@@ -356,16 +350,6 @@ class TensorWindow:
         self.n = n
         self.N = N
         self.zrange = zrange
-
-    def label(self, color: int, zexp: int) -> int:
-        """Doubled flattened index of z^zexp e_color."""
-        return 2 * (color - self.n * zexp) - 1
-
-    def unlabel(self, lab: int) -> Slot:
-        half = (lab + 1) // 2
-        color = (half - 1) % self.n + 1
-        zexp = (color - half) // self.n
-        return color, zexp
 
     @property
     def dim(self) -> int:

@@ -147,15 +147,6 @@ def psido_to_json(A: PsiDO) -> dict:
     }
 
 
-@_decoder
-def psido_from_json(d: dict) -> PsiDO:
-    depth = d.get("depth")
-    return PsiDO(
-        {int(i): series_from_json(s) for i, s in d["terms"].items()},
-        None if depth is None else _int(depth),
-    )
-
-
 def frame_to_json(W: GrassPoint) -> dict:
     return {
         "window": list(W.window),

@@ -17,22 +17,12 @@ from .psido import PsiDO, commutator, compose, nth_root, power, residue, split
 from .series import DualSeries, TruncSeries
 
 
-@dataclass(frozen=True)
-class FlowIndex:
-    """Label r of the flow t_r; multiples of n are stationary."""
-
-    r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise BadArgument("flow index must be a positive integer")
-
-    def is_stationary(self, n: int) -> bool:
-        return self.r % n == 0
-
-
-def _flow(r) -> FlowIndex:
-    return r if isinstance(r, FlowIndex) else FlowIndex(int(r))
+def _flow(r) -> int:
+    """The label r of the flow t_r, a positive integer."""
+    r = int(r)
+    if r < 1:
+        raise BadArgument("flow index must be a positive integer")
+    return r
 
 
 @dataclass(frozen=True)
@@ -74,15 +64,9 @@ def _read_rhs(S: ScalarOper, r: int, rhs: PsiDO) -> LaxRhs:
     return LaxRhs(n, r, rhs, tuple(delta))
 
 
-def lax_flow_operator(S: ScalarOper, r) -> tuple[PsiDO, PsiDO]:
-    """(B_r, [B_r, L]) for B_r the differential part of L^{r/n}."""
-    r = _flow(r).r
-    return _flow_operator(S, _root(S, 1 - r), r)
-
-
 def lax_rhs(S: ScalarOper, r) -> LaxRhs:
     """Right-hand side of dL/dt_r; purely differential, order <= n-2."""
-    r = _flow(r).r
+    r = _flow(r)
     _, rhs = _flow_operator(S, _root(S, 1 - r), r)
     return _read_rhs(S, r, rhs)
 
@@ -130,7 +114,7 @@ def zs_residual(S: ScalarOper, r, s) -> PsiDO:
     coefficients along dL = [B_k, L]; no second implementation of the root
     is involved.  B_r and B_s share one real root.
     """
-    r, s = _flow(r).r, _flow(s).r
+    r, s = _flow(r), _flow(s)
     R = _root(S, 1 - max(r, s))
     Br, rhs_r = _flow_operator(S, R, r)
     Bs, rhs_s = _flow_operator(S, R, s)
@@ -153,7 +137,7 @@ def mkdv_intertwine_check(M: MiuraOper, r) -> PsiDO:
     the induced modified flows for general n involve integration choices
     that are out of scope.
     """
-    r = _flow(r).r
+    r = _flow(r)
     if M.n != 2 or not (M.chi[0] + M.chi[1]).is_zero:
         raise Unsupported("intertwining implemented for n=2, data (chi, -chi)")
     if r != 3:

@@ -32,7 +32,7 @@ from .oper import (
     miura_transform,
 )
 from .psido import (DEFAULT_TAIL_DEPTH, PsiDO, _binom, _compose_coeff, commutator,
-                    compose, invert_monic0)
+                    compose)
 from .series import DEFAULT_ORDER, TruncSeries
 
 Window = tuple[int, int]
@@ -95,12 +95,6 @@ def _taylor(f: TruncSeries | None, n: int) -> list[Fraction]:
         return [Fraction(0)] * n
     cs = f.coeffs
     return [cs[k - f.pole] if k >= f.pole else Fraction(0) for k in range(n)]
-
-
-def dressing_conjugate(K: PsiDO, n: int) -> PsiDO:
-    """K d^n K^-1, for verifying the dressing contract."""
-    order = min((c.order for c in K.terms.values()), default=DEFAULT_ORDER)
-    return compose(compose(K, PsiDO.d(n, order)), invert_monic0(K))
 
 
 def wave_columns(S, window: Window) -> list[dict[int, Fraction]]:

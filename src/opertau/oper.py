@@ -122,10 +122,6 @@ def bidiagonal_matrix(M: MiuraOper) -> MatrixConnection:
     return MatrixConnection(M.n, tuple(rows))
 
 
-def scalar_from_companion(C: MatrixConnection) -> ScalarOper:
-    return ScalarOper(C.n, tuple(C.A[0]))
-
-
 def validate_oper(C: MatrixConnection) -> bool:
     """Unit subdiagonal, zeros strictly below it, power-series entries."""
     n = C.n

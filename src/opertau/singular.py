@@ -127,11 +127,6 @@ class VacuumModule:
         res = self.act_word(sigma, {w: Fraction(1)})
         return res.get((), Fraction(0))
 
-    def gram_matrix(self, depth: int, weight: int) -> tuple[list[Word], list[list[Fraction]]]:
-        basis = self.slice_basis(depth, weight)
-        m = [[self.shapovalov(u, w) for w in basis] for u in basis]
-        return basis, m
-
 
 def raising_generators(max_depth: int) -> list[Gen]:
     """e_0 plus every positive mode up to the search depth."""

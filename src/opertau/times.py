@@ -141,12 +141,6 @@ class TimesSeries:
     def constant_term(self) -> Fraction:
         return self.terms.get(ZERO_KEY, Fraction(0))
 
-    def min_weight(self) -> int | None:
-        """Smallest weighted degree with a nonzero term, None if zero."""
-        if not self.terms:
-            return None
-        return min(weight(k) for k in self.terms)
-
     def agrees(self, other: "TimesSeries") -> bool:
         """Coefficients coincide through the shared weighted bound."""
         b = _min_bound(self.bound, other.bound)

@@ -36,6 +36,12 @@ def rank(m, inverse=linalg._reciprocal) -> int:
     return len(linalg._eliminate([row[:] for row in m], inverse, bool, jordan=False)[0])
 
 
+def gram_matrix(mod, depth, weight):
+    """The slice basis of a vacuum module and its Shapovalov Gram matrix."""
+    basis = mod.slice_basis(depth, weight)
+    return basis, [[mod.shapovalov(u, w) for w in basis] for u in basis]
+
+
 # -- completion oracle: a truncated result may claim only coefficients that
 # every completion of its inputs agrees on -------------------------------------
 

@@ -139,6 +139,10 @@ class TestExitCodes:
         assert run(["--order", "-3", "kdv-flow", "--r", "3"]) == 2
         assert "--order" in capsys.readouterr().err
 
+    def test_zero_flow_kdv_flow(self, capsys):
+        assert run(["kdv-flow", "--n", "2", "--r", "0"]) == 3
+        assert "flow index must be a positive integer" in capsys.readouterr().err
+
     def test_zero_n_kdv_conserved(self, capsys):
         assert run(["kdv-conserved", "--s", "1", "--n", "0"]) == 2
         assert "--n" in capsys.readouterr().err

@@ -21,12 +21,19 @@ from opertau.hecke import (
     classical_antisymmetrize,
     q_antisymmetrize,
     verify_relations,
-    vec_sub,
 )
 
 from .conftest import rank
 
 F = Fraction
+
+
+def vec_sub(a, b):
+    """a - b for vectors on a tensor window, without zero entries."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, QPoly()) - c
+    return {key: c for key, c in out.items() if not c.is_zero}
 
 
 # -- the Fraction-coefficient QPoly, kept as the reference for the int one -------
@@ -334,17 +341,6 @@ class TestQWedge:
                 lhs = classical_antisymmetrize(got1)
                 rhs = classical_antisymmetrize(basis_vector(key))
                 assert lhs == rhs, key
-
-    def test_relabel_bijection(self):
-        win = TensorWindow(3, 2, (-2, 2))
-        seen = set()
-        for i in range(1, 4):
-            for j in range(-2, 3):
-                lab = win.label(i, j)
-                assert win.unlabel(lab) == (i, j)
-                seen.add(lab)
-        assert len(seen) == 15
-        assert all(lab % 2 == 1 for lab in seen)
 
 
 def _scale_q(v):

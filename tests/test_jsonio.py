@@ -6,7 +6,6 @@ from opertau import jsonio
 from opertau.errors import ParseError
 from opertau.grass import GrassPoint
 from opertau.oper import MiuraOper, ScalarOper
-from opertau.psido import PsiDO
 from opertau.series import TruncSeries, tpoly
 from opertau.times import TimesSeries
 
@@ -32,11 +31,6 @@ def test_oper_round_trips():
     assert jsonio.scalar_oper_from_json(jsonio.scalar_oper_to_json(S)) == S
     M = MiuraOper(2, (tpoly({2: -3}), TruncSeries.zero(12)))
     assert jsonio.miura_from_json(jsonio.miura_to_json(M)) == M
-
-
-def test_psido_round_trip():
-    A = PsiDO({2: TruncSeries.one(12), -1: tpoly({1: F(3, 4)})}, depth=-5)
-    assert jsonio.psido_from_json(jsonio.psido_to_json(A)) == A
 
 
 def test_frame_round_trip():
@@ -78,13 +72,10 @@ class TestStrictIntegers:
         with pytest.raises(ParseError):
             jsonio.frame_from_json(d)
 
-    def test_oper_and_psido_fields(self):
+    def test_oper_fields(self):
         S = jsonio.scalar_oper_to_json(ScalarOper(2, (tpoly({1: 1}), tpoly({0: 1}))))
         with pytest.raises(ParseError):
             jsonio.scalar_oper_from_json({**S, "n": 2.0})
-        A = jsonio.psido_to_json(PsiDO({2: TruncSeries.one(12)}, depth=-5))
-        with pytest.raises(ParseError):
-            jsonio.psido_from_json({**A, "depth": -5.0})
 
 
 class TestTimeNames:

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from opertau.errors import Unsupported
+from opertau.errors import BadArgument, Unsupported
 from opertau.kdv import (
-    FlowIndex,
+    _flow_operator,
+    _root,
     conserved_density,
     lax_rhs,
     mkdv_flow,
@@ -41,7 +42,6 @@ class TestLaxRhs:
     def test_r2_stationary(self, rng):
         u = random_poly(rng, 5, order=14)
         assert lax_rhs(oper_from_u(u), 2).operator.is_zero
-        assert FlowIndex(2).is_stationary(2)
 
     def test_r3_kdv(self, rng):
         for _ in range(3):
@@ -52,10 +52,9 @@ class TestLaxRhs:
 
     def test_b3_matches_display(self):
         # L_+^{3/2} = d^3 + (3/2) u d + (3/4) u' for L = d^2 + u
-        from opertau.kdv import lax_flow_operator
-
         u = tpoly({1: 1, 2: 2}, 14)
-        B, _ = lax_flow_operator(oper_from_u(u), 3)
+        S = oper_from_u(u)
+        B, _ = _flow_operator(S, _root(S, 1 - 3), 3)
         assert B.terms[3].is_one
         assert B.terms[1].agrees(u * Fraction(3, 2))
         assert B.terms[0].agrees(u.derivative() * Fraction(3, 4))
@@ -122,6 +121,17 @@ class TestZS:
         u = random_poly(rng, 2, order=18)
         res = zs_residual(oper_from_u(u), 3, 5)
         assert res.is_zero
+
+
+class TestFlowIndex:
+    def test_nonpositive_flow_is_refused(self):
+        u = tpoly({1: 1}, 12)
+        S = oper_from_u(u)
+        for call in (lambda: lax_rhs(S, 0), lambda: zs_residual(S, 1, 0),
+                     lambda: zs_residual(S, -1, 3),
+                     lambda: mkdv_intertwine_check(MiuraOper(2, (u, -u)), 0)):
+            with pytest.raises(BadArgument, match="flow index must be a positive integer"):
+                call()
 
 
 class TestIntertwining:

@@ -15,7 +15,6 @@ from opertau.krichever import (
     SpectralRelation,
     bc_relation,
     dressing,
-    dressing_conjugate,
     flag_to_grass,
     krichever_point,
     main_theorem_check,
@@ -25,13 +24,19 @@ from opertau.krichever import (
 )
 from opertau.oper import (MiuraOper, ScalarOper, bidiagonal_matrix, gauge_reduce_with_matrix,
                           miura_transform)
-from opertau.psido import PsiDO, commutator, compose, nth_root
+from opertau.psido import PsiDO, commutator, compose, invert_monic0, nth_root
 from opertau.series import TruncSeries, tpoly
 
 from .conftest import random_poly
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
+
+
+def dressing_conjugate(K, n):
+    """K d^n K^-1, for verifying the dressing contract."""
+    order = min(c.order for c in K.terms.values())
+    return compose(compose(K, PsiDO.d(n, order)), invert_monic0(K))
 
 
 def oper(n, coeffs, order=20):

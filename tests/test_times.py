@@ -158,9 +158,14 @@ def reference_mul_var(a, k, prime=False):
     return TimesSeries(out, None if a.bound is None else a.bound + k)
 
 
+def min_weight(a):
+    """Smallest weighted degree with a nonzero term, None if zero."""
+    return min(map(weight, a.terms), default=None)
+
+
 def reference_exp(a):
     result = TimesSeries.one(a.bound)
-    v = a.min_weight()
+    v = min_weight(a)
     if v is None:
         return result
     power = TimesSeries.one(a.bound)
@@ -179,7 +184,7 @@ def reference_invert(a):
     g = reference_scale(reference_add(reference_scale(a, 1 / c0), TimesSeries.const(-1)), F(-1))
     result = TimesSeries.one(a.bound)
     power = TimesSeries.one(a.bound)
-    v = g.min_weight()
+    v = min_weight(g)
     if v is not None:
         for _ in range(a.bound // v):
             power = reference_mul(power, g)

@@ -18,10 +18,15 @@ times `TimesSeries.exp` of one-pair Toda exponents at bound 12 (t and t'
 times), `invert` of Plücker-Schur taus at bound 8 and `hirota_residual`
 at degree 8 of the same taus at bound 12 (frames over (-8, 8) with dense
 random tails in two columns).  Coefficients are fractions with mixed small
-denominators.  Each sample times a fixed batch of calls; the script prints
-one JSON object with the median and every sample per kernel, in
-microseconds per series operation or milliseconds per call.  It uses only the public
-API, so it runs unchanged on any checkout of this repository.
+denominators.  `cold_import_ms` is the wall time of a fresh
+`python -c "import opertau.cli"` from a copy of the package without a
+bytecode cache, under `PYTHONDONTWRITEBYTECODE=1`, so that it compiles
+every package module it loads, as each run of the benchmark and each of its
+CLI samples does from a new checkout.
+Each sample times a fixed batch of calls; the script prints one JSON object
+with the median and every sample per kernel, in microseconds per series
+operation or milliseconds per call.  It uses only the public API, so it runs
+unchanged on any checkout of this repository.
 
     python3 tools/time_kernels.py --repeats 11
 """
@@ -30,15 +35,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from operator import add, mul
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from opertau.grass import GrassPoint, hirota_residual, tau_schur  # noqa: E402
 from opertau.hecke import TensorWindow, WedgeReducer, basis_vector  # noqa: E402
@@ -54,7 +64,7 @@ PAIRS = 40  # products per sample and kernel
 OPERATORS = 4  # operators per sample for compose and nth_root
 DEPTH = -8  # the tail depth of the flows workload
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27)
-DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+DATA = SRC.parent / "tests" / "data"
 FLAG_WINDOW = (-10, 12)
 TAUS = 4  # exponents and taus per sample for exp, invert and hirota_residual
 TAU_WINDOW = (-8, 8)
@@ -144,6 +154,10 @@ def wedge(win: TensorWindow) -> list[dict]:
     return [red.reduce(basis_vector(key)) for key in win.basis()]
 
 
+def cold_import(env: dict) -> None:
+    subprocess.run([sys.executable, "-c", "import opertau.cli"], env=env, check=True)
+
+
 def _sample(call, operands, scale: float) -> float:
     start = time.perf_counter()
     for args in operands:
@@ -177,11 +191,17 @@ def main(argv=None) -> int:
         "hirota_residual_ms": (lambda tau: hirota_residual(tau, 8), tau12, 1e3),
     }
     samples: dict[str, list[float]] = {name: [] for name in kernels}
-    for kernel in kernels.values():
-        _sample(*kernel)  # warm-up
-    for _ in range(args.repeats):
-        for name, kernel in kernels.items():
-            samples[name].append(_sample(*kernel))
+    with tempfile.TemporaryDirectory() as fresh:
+        shutil.copytree(SRC / "opertau", Path(fresh) / "opertau",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": fresh, "PYTHONDONTWRITEBYTECODE": "1"}
+        kernels["cold_import_ms"] = (cold_import, [(env,)], 1e3)
+        samples["cold_import_ms"] = []
+        for kernel in kernels.values():
+            _sample(*kernel)  # warm-up
+        for _ in range(args.repeats):
+            for name, kernel in kernels.items():
+                samples[name].append(_sample(*kernel))
     report = {
         name: {"median": statistics.median(ts), "samples": ts}
         for name, ts in samples.items()
