@@ -8,6 +8,12 @@ operator, ``krichever`` the window, ``main-check`` the window and
 degree, ``tau`` its frame's window and the degree, ``toda-tau``
 the degree, ``hirota-check`` the degree it checked, ``hecke-verify`` the n,
 N and z-range of the tensor window it checked; ``miura`` uses none.
+
+Each command imports the modules it runs inside its branch of ``_run``, so
+a run loads and compiles only those, besides ``errors`` and ``psido`` (the
+``--depth`` default): ``hecke-verify`` loads no JSON codec, no Grassmannian
+and no tau.  An input file that is missing, a directory or not UTF-8 text
+exits 2 with one ``cannot read input`` line.
 """
 
 from __future__ import annotations
@@ -17,22 +23,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import jsonio
 from .errors import InvariantViolation, OpertauError, ParseError
-from .grass import hirota_residual, tau_schur
-from .hecke import TensorWindow, verify_relations
-from .kdv import conserved_density, lax_rhs
-from .krichever import (
-    bc_relation,
-    krichever_point,
-    main_theorem_check,
-    n_reduction_holds,
-)
-from .oper import ScalarOper, miura_transform
-from .parser import parse_operator, print_operator
-from .psido import DEFAULT_TAIL_DEPTH, nth_root, power
-from .series import TruncSeries, tpoly
-from .toda import toda_tau
+from .psido import DEFAULT_TAIL_DEPTH
 
 
 def _int_from(lo: int):
@@ -135,11 +127,18 @@ def _load(path: str) -> dict:
             raise ParseError(f"invalid JSON in {path}: repeated key among {keys}")
         return dict(pairs)
 
-    with open(path) as fh:
-        try:
-            return json.load(fh, object_pairs_hook=unique)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON in {path}: {e.msg}", e.lineno, e.colno) from e
+    try:
+        return json.loads(_read(path), object_pairs_hook=unique)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON in {path}: {e.msg}", e.lineno, e.colno) from e
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:  # name the file, as an OSError does
+        raise UnicodeDecodeError(e.encoding, e.object, e.start, e.end,
+                                 f"{e.reason} in {path}") from None
 
 
 def _window(args) -> tuple[int, int]:
@@ -151,6 +150,8 @@ def _window(args) -> tuple[int, int]:
 
 
 def _default_oper(n: int, order: int):
+    from .oper import ScalarOper
+    from .series import TruncSeries, tpoly
     qs = [TruncSeries.zero(order) for _ in range(n - 1)]
     qs.append(tpoly({1: -1}, order))  # L = d^n + t
     return ScalarOper(n, tuple(qs))
@@ -160,17 +161,21 @@ def _flow_oper(args):
     """The operator of a flow command, from its file or the default d^n + t,
     with the settings used to get it."""
     if args.file:
-        return jsonio.scalar_oper_from_json(_load(args.file)), {}
+        from .jsonio import scalar_oper_from_json
+        return scalar_oper_from_json(_load(args.file)), {}
     return _default_oper(args.n, args.order), {"order": args.order}
 
 
 def _run(args) -> int:
     if args.command == "root":
+        from .jsonio import psido_to_json
+        from .parser import parse_operator, print_operator
+        from .psido import nth_root, power
         A = parse_operator(args.expression, order=args.order)
         R = nth_root(A, args.n, args.depth)
         back = power(R, args.n, args.depth)
         _print(args, {
-            "root": jsonio.psido_to_json(R),
+            "root": psido_to_json(R),
             "text": print_operator(R),
             "recomposition_matches": back.agrees(A),
             "order": args.order,
@@ -178,55 +183,68 @@ def _run(args) -> int:
         })
         return 0
     if args.command == "miura":
-        M = jsonio.miura_from_json(_load(args.file))
+        from .jsonio import miura_from_json, scalar_oper_to_json
+        from .oper import miura_transform
+        M = miura_from_json(_load(args.file))
         S = miura_transform(M)
-        _print(args, {"scalar_oper": jsonio.scalar_oper_to_json(S)})
+        _print(args, {"scalar_oper": scalar_oper_to_json(S)})
         return 0
     if args.command == "kdv-flow":
+        from .jsonio import series_to_json
+        from .kdv import lax_rhs
         S, used = _flow_oper(args)
         rhs = lax_rhs(S, args.r)
         _print(args, {
             "stationary": rhs.operator.is_zero,
-            "delta_q": [jsonio.series_to_json(s) for s in rhs.delta_q],
+            "delta_q": [series_to_json(s) for s in rhs.delta_q],
             **used,
         })
         return 0
     if args.command == "kdv-conserved":
+        from .jsonio import series_to_json
+        from .kdv import conserved_density
         S, used = _flow_oper(args)
         rho = conserved_density(S, args.s_index)
-        _print(args, {"density": jsonio.series_to_json(rho), **used})
+        _print(args, {"density": series_to_json(rho), **used})
         return 0
     if args.command == "tau":
-        W = jsonio.frame_from_json(_load(args.frame))
+        from .grass import tau_schur
+        from .jsonio import frame_from_json, times_to_json
+        W = frame_from_json(_load(args.frame))
         tau = tau_schur(W, args.degree)
         _print(args, {
-            "tau": jsonio.times_to_json(tau),
+            "tau": times_to_json(tau),
             "virtdim": W.virtdim,
             "window": list(W.window),
             "degree": args.degree,
         })
         return 0
     if args.command == "hirota-check":
-        tau = jsonio.times_from_json(_load(args.tau))
+        from .grass import hirota_residual
+        from .jsonio import times_from_json, times_to_json
+        tau = times_from_json(_load(args.tau))
         bound = tau.bound if tau.bound is not None else args.degree + 4
         residual = hirota_residual(tau, bound - 4)
         _print(
             args,
             {
-                "residual": jsonio.times_to_json(residual),
+                "residual": times_to_json(residual),
                 "is_zero": residual.is_zero,
                 "checked_degree": bound - 4,
             },
         )
         return 0
     if args.command == "toda-tau":
-        pairs = jsonio.pairs_from_json(_load(args.pairs))
+        from .jsonio import pairs_from_json, times_to_json
+        from .toda import toda_tau
+        pairs = pairs_from_json(_load(args.pairs))
         tau = toda_tau(pairs, args.degree, cutoff=args.cutoff)
         _print(args, {
-            "tau": jsonio.times_to_json(tau), "cutoff": args.cutoff, "degree": args.degree,
+            "tau": times_to_json(tau), "cutoff": args.cutoff, "degree": args.degree,
         })
         return 0
     if args.command == "hecke-verify":
+        from .hecke import TensorWindow, verify_relations
         win = TensorWindow(args.n, args.factors, (-args.zrange, args.zrange))
         results = verify_relations(win)
         report = {name: ok for name, ok in results}
@@ -241,11 +259,14 @@ def _run(args) -> int:
             print(f"all_hold: {ok}")
         return 0 if ok else 4
     if args.command == "bc-curve":
-        P, Q = (parse_operator(Path(f).read_text(), order=args.order) for f in (args.p, args.q))
+        from .jsonio import fraction_to_json
+        from .krichever import bc_relation
+        from .parser import parse_operator
+        P, Q = (parse_operator(_read(f), order=args.order) for f in (args.p, args.q))
         rel = bc_relation(P, Q, args.bound)
         report = {"relation": None} if rel is None else {
             "relation": [
-                {"x": a, "y": b, "coef": jsonio.fraction_to_json(c)}
+                {"x": a, "y": b, "coef": fraction_to_json(c)}
                 for (a, b), c in rel.coeffs
             ],
             "text": repr(rel),
@@ -253,18 +274,22 @@ def _run(args) -> int:
         _print(args, {**report, "order": args.order})
         return 0
     if args.command == "krichever":
-        S = jsonio.scalar_oper_from_json(_load(args.oper))
+        from .jsonio import frame_to_json, scalar_oper_from_json
+        from .krichever import krichever_point, n_reduction_holds
+        S = scalar_oper_from_json(_load(args.oper))
         window = _window(args)
         W = krichever_point(S, window)
         _print(args, {
-            "frame": jsonio.frame_to_json(W),
+            "frame": frame_to_json(W),
             "virtdim": W.virtdim,
             "n_reduced": n_reduction_holds(W, S.n),
             "window": list(window),
         })
         return 0
     if args.command == "main-check":
-        M = jsonio.miura_from_json(_load(args.miura))
+        from .jsonio import miura_from_json
+        from .krichever import main_theorem_check
+        M = miura_from_json(_load(args.miura))
         report = main_theorem_check(M, _window(args), args.degree)
         _print(args, {
             "frames_match": report.frames_match,
@@ -297,7 +322,7 @@ def run(argv: list[str]) -> int:
     except OpertauError as e:
         print(f"precondition violated: {e.__class__.__name__}: {e}", file=sys.stderr)
         return 3
-    except FileNotFoundError as e:
+    except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as e:
         print(f"cannot read input: {e}", file=sys.stderr)
         return 2
 

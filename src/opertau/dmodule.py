@@ -22,12 +22,6 @@ class AnnihilatorOp:
     coeffs: tuple[tuple[tuple[int, int], Fraction], ...]  # ((k, e), c)
     verified_degree: int
 
-    def apply(self, tau: TimesSeries) -> TimesSeries:
-        acc = TimesSeries.zero(self.verified_degree)
-        for (k, e), c in self.coeffs:
-            acc = acc + _image(tau, k, e).truncate(self.verified_degree) * c
-        return acc
-
     def __repr__(self):
         bits = []
         for (k, e), c in self.coeffs:

@@ -9,10 +9,6 @@ class NotInvertible(OpertauError):
     """Inversion of a series or operator with no invertible leading part."""
 
 
-class NotIntegrable(OpertauError):
-    """A term-by-term antiderivative does not exist (residue term present)."""
-
-
 class TailOverflow(OpertauError):
     """A microdifferential computation left no trusted coefficient window."""
 

@@ -237,12 +237,3 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
     for first in range(top, 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
-
-
-def window_basis(charge: int, window: int) -> list[Maya]:
-    """All diagrams of the given charge with energy <= window."""
-    out = []
-    for e in range(window + 1):
-        for lam in partitions(e):
-            out.append((charge, lam))
-    return out

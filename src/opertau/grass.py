@@ -99,12 +99,6 @@ class GrassPoint:
         return f"GrassPoint(window=({lo},{hi}), cols={len(self.columns)}, virtdim={self.virtdim})"
 
 
-def standard_point(window: Window) -> GrassPoint:
-    """H_+ = span{z^k : k >= 0} in the given window."""
-    lo, hi = window
-    return GrassPoint(window, [{k: 1} for k in range(0, hi)])
-
-
 def plucker(W: GrassPoint, lam: tuple[int, ...]) -> Fraction:
     """Pluecker coordinate of the charge-0 point at the partition lambda.
 

@@ -166,9 +166,6 @@ class QPoly:
                     del work[k]
         return _shift_div(quot, lo_s - lo_o, 1), _shift_div(work, lo_s, 1)
 
-    def eval_one(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -270,12 +267,6 @@ class RatFunc:
         if self.is_zero:
             raise ZeroDivisionError("inverting zero rational function")
         return RatFunc(self.den, self.num)
-
-    def eval_one(self) -> Fraction:
-        d = self.den.eval_one()
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at q = 1")
-        return self.num.eval_one() / d
 
     def __repr__(self):
         return f"({self.num})/({self.den})" if self.den != ONE else repr(self.num)
@@ -537,27 +528,3 @@ class WedgeReducer:
         work = {k: RatFunc.from_scalar(c) for k, c in v.items()}
         return linalg.remainder(work, self.rows, self.pivots)
 
-
-def q_antisymmetrize(win: TensorWindow, v: QVector) -> dict:
-    """Image of v in the q-wedge quotient, as a canonical representative."""
-    return WedgeReducer(win).reduce(v)
-
-
-def classical_antisymmetrize(v: QVector) -> dict:
-    """q = 1 oracle: sign-sorted normal form by flattened slot order."""
-    out: dict = {}
-    for key, c in v.items():
-        if len(set(key)) != len(key):
-            continue
-        inv = sum(
-            1
-            for a in range(len(key))
-            for b in range(a + 1, len(key))
-            if key[a] > key[b]
-        )
-        skey = tuple(sorted(key))
-        cur = out.get(skey, Fraction(0))
-        out[skey] = cur + (c.eval_one() if isinstance(c, QPoly) else Fraction(c)) * (
-            (-1) ** inv
-        )
-    return {k: c for k, c in out.items() if c != 0}

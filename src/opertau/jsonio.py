@@ -22,11 +22,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .grass import GrassPoint
-from .oper import MiuraOper, ScalarOper
-from .psido import PsiDO
 from .series import TruncSeries
-from .times import TimesSeries
 
 
 # what indexing, unpacking and the constructors raise on a malformed document
@@ -100,6 +96,7 @@ _TIME_NAME = re.compile(r"t(')?([1-9][0-9]*)")
 
 @_decoder
 def times_from_json(d: dict) -> TimesSeries:
+    from .times import TimesSeries
     terms = {}
     for item in d["terms"]:
         e: dict[int, int] = {}
@@ -128,6 +125,7 @@ def scalar_oper_to_json(S: ScalarOper) -> dict:
 
 @_decoder
 def scalar_oper_from_json(d: dict) -> ScalarOper:
+    from .oper import ScalarOper
     return ScalarOper(_int(d["n"]), tuple(series_from_json(s) for s in d["q"]))
 
 
@@ -137,6 +135,7 @@ def miura_to_json(M: MiuraOper) -> dict:
 
 @_decoder
 def miura_from_json(d: dict) -> MiuraOper:
+    from .oper import MiuraOper
     return MiuraOper(_int(d["n"]), tuple(series_from_json(s) for s in d["chi"]))
 
 
@@ -159,6 +158,7 @@ def frame_to_json(W: GrassPoint) -> dict:
 
 @_decoder
 def frame_from_json(d: dict) -> GrassPoint:
+    from .grass import GrassPoint
     lo, hi = d["window"]
     cols = [
         {int(k): fraction_from_json(v) for k, v in col.items()}

@@ -210,13 +210,6 @@ class SpectralRelation:
             bits.append(f"({c})" + ("*" + "*".join(mon) if mon else ""))
         return " + ".join(bits)
 
-    def evaluate(self, P: PsiDO, Q: PsiDO) -> PsiDO:
-        acc = PsiDO.zero()
-        memo: dict = {}
-        for (a, b), c in self.coeffs:
-            acc = acc + _monomial(P, Q, a, b, memo) * c
-        return acc
-
 
 def bc_relation(P: PsiDO, Q: PsiDO, bound: int) -> SpectralRelation | None:
     """Minimal-degree polynomial relation between a commuting pair.

@@ -1,4 +1,4 @@
-"""Local GL_n opers: scalar operators, companion and bidiagonal connections.
+"""Local GL_n opers: scalar operators, matrix connections, the Miura transform.
 
 The scalar presentation is the monic operator
 
@@ -7,7 +7,8 @@ The scalar presentation is the monic operator
 the sign convention used everywhere in this package.  A Miura datum is the
 ordered factorization (d - chi_1)(d - chi_2)...(d - chi_n); its transform
 is the unique companion-form connection in the upper-triangular unipotent
-gauge orbit of the bidiagonal connection.
+gauge orbit of the bidiagonal connection, which ``gauge_reduce`` returns as
+its scalar operator.
 """
 
 from __future__ import annotations
@@ -96,17 +97,6 @@ def miura_transform(M: MiuraOper) -> ScalarOper:
     return ScalarOper.from_psido(acc, M.n)
 
 
-def companion_matrix(S: ScalarOper) -> MatrixConnection:
-    """First row q_1..q_n, unit subdiagonal, zeros elsewhere."""
-    order = min(s.order for s in S.q)
-    zero = TruncSeries.zero(order)
-    one = TruncSeries.one(order)
-    rows = [list(S.q)]
-    for i in range(1, S.n):
-        rows.append([one if j == i - 1 else zero for j in range(S.n)])
-    return MatrixConnection(S.n, tuple(tuple(r) for r in rows))
-
-
 def bidiagonal_matrix(M: MiuraOper) -> MatrixConnection:
     """chi_i on the diagonal, unit subdiagonal, zeros elsewhere."""
     order = min(c.order for c in M.chi)
@@ -120,23 +110,6 @@ def bidiagonal_matrix(M: MiuraOper) -> MatrixConnection:
             row[i - 1] = one
         rows.append(tuple(row))
     return MatrixConnection(M.n, tuple(rows))
-
-
-def validate_oper(C: MatrixConnection) -> bool:
-    """Unit subdiagonal, zeros strictly below it, power-series entries."""
-    n = C.n
-    for i in range(n):
-        for j in range(n):
-            e = C.A[i][j]
-            if e.pole < 0 and not e.is_zero:
-                return False
-            if i == j + 1:
-                if e.pole != 0 or e.coeff(0) == 0:
-                    return False
-            elif i > j + 1:
-                if not e.is_zero:
-                    return False
-    return True
 
 
 def _oper_form_strict(C: MatrixConnection) -> None:

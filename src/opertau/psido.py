@@ -144,10 +144,6 @@ class PsiDO:
     def __pow__(self, e: int) -> "PsiDO":
         return power(self, e)
 
-    def truncate_depth(self, depth: int) -> "PsiDO":
-        return PsiDO({i: c for i, c in self.terms.items() if i >= depth},
-                     _depth_max(self.depth, depth))
-
     def __repr__(self):
         if not self.terms:
             return "PsiDO<0>"
@@ -347,25 +343,3 @@ def nth_root(L: PsiDO, n: int, depth: int = DEFAULT_TAIL_DEPTH) -> PsiDO:
         R[m] = have * Fraction(1, n)
         fill(m)
     return PsiDO(R, target)
-
-
-def invert_monic0(A: PsiDO) -> PsiDO:
-    """Inverse of A = a_0 + (orders <= -1) with a_0 an invertible function,
-    down to DEFAULT_TAIL_DEPTH."""
-    if A.is_zero or A.top != 0:
-        raise NotMonic("inverse implemented for top order 0 only")
-    a0 = A.terms[0]
-    a0inv = PsiDO({0: a0.invert()})
-    C = compose(a0inv, A)  # 1 + strictly negative orders
-    one = PsiDO({0: C.terms[0]})  # the exact 1 coefficient, window-tracked
-    N = C - one
-    acc = one
-    term = one
-    while not (term.is_zero or N.is_zero):
-        if term.top + N.top < DEFAULT_TAIL_DEPTH:
-            break
-        term = compose(term, -N).truncate_depth(DEFAULT_TAIL_DEPTH)
-        if term.is_zero:
-            break
-        acc = acc + term
-    return compose(acc, a0inv)

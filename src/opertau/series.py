@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Collection, Iterable, Sequence, Union
 
-from .errors import NotIntegrable, NotInvertible
+from .errors import NotInvertible
 
 Scalar = Union[int, Fraction]
 
@@ -266,15 +266,6 @@ class TruncSeries:
     def derivative(self) -> "TruncSeries":
         nums = [e * x for e, x in enumerate(self.nums, self.pole)]
         return TruncSeries._make(self.pole - 1, self.order - 1, nums, self.den)
-
-    def antiderivative(self) -> "TruncSeries":
-        """Termwise antiderivative with constant 0; fails on a t^-1 term."""
-        if self.pole < 0 and -1 - self.pole < len(self.nums) and self.nums[-1 - self.pole]:
-            raise NotIntegrable("nonzero t^-1 coefficient")
-        # x t^e / den integrates to x (m / (e + 1)) t^(e + 1) / (den m)
-        m = lcm(*[e + 1 for e, x in enumerate(self.nums, self.pole) if x])
-        nums = [x * (m // (e + 1)) if x else 0 for e, x in enumerate(self.nums, self.pole)]
-        return TruncSeries._make(self.pole + 1, self.order + 1, nums, self.den * m)
 
     def invert(self) -> "TruncSeries":
         if self.is_zero:

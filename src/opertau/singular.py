@@ -4,10 +4,10 @@ The module is induced from the one-dimensional representation of the
 non-negative loop half (e_m, f_m, h_m for m >= 0 all act by zero on the
 generating vector; the central element acts by the level).  Elements are
 combinations of PBW words in the negative modes.  A singular vector of
-depth d is annihilated by e_0 and by every positive mode up to d; the
-Shapovalov Gram matrix per (depth, weight) slice is the independent
-oracle: its determinant is nonzero away from resonances and its kernel
-contains the singular vectors at them.
+depth d is annihilated by e_0 and by every positive mode up to d.  The
+tests hold the independent oracle, the Shapovalov Gram matrix of each
+(depth, weight) slice built from ``act``: its determinant is nonzero away
+from resonances and its kernel contains the singular vectors at them.
 """
 
 from __future__ import annotations
@@ -88,11 +88,6 @@ class VacuumModule:
                 out[w2] = out.get(w2, Fraction(0)) + c * c2
         return {w: c for w, c in out.items() if c != 0}
 
-    def act_word(self, gens: list[Gen], elem: Element) -> Element:
-        for g in reversed(gens):
-            elem = self.act(g, elem)
-        return elem
-
     # -- gradings -----------------------------------------------------------
 
     @staticmethod
@@ -117,15 +112,6 @@ class VacuumModule:
             for combo in combinations_with_replacement(gens, r)
             if self.depth(combo) == depth and weight in (None, self.weight(combo))
         ]
-
-    # -- Shapovalov form ------------------------------------------------------
-
-    def shapovalov(self, u: Word, w: Word) -> Fraction:
-        """<u v, w v> via the transpose antiautomorphism e_m -> f_{-m}."""
-        flip = {"e": "f", "f": "e", "h": "h"}
-        sigma = [(-m, flip[x]) for (m, x) in reversed(u)]
-        res = self.act_word(sigma, {w: Fraction(1)})
-        return res.get((), Fraction(0))
 
 
 def raising_generators(max_depth: int) -> list[Gen]:

@@ -208,29 +208,27 @@ class TimesSeries:
             return self
         return TimesSeries._make(_cut(self.terms, b), b)
 
-    def derivative(self, k: int, prime: bool = False) -> "TimesSeries":
-        """d/dt_k (or d/dt'_k); the weighted bound drops by k."""
+    def derivative(self, k: int) -> "TimesSeries":
+        """d/dt_k; the weighted bound drops by k."""
         i = k - 1
         out: dict[Key, Fraction] = {}
         for (e, p), c in self.terms.items():
-            src = p if prime else e
-            if len(src) <= i or src[i] == 0:
+            if len(e) <= i or e[i] == 0:
                 continue
-            n = src[i]
-            new = src[:i] + (n - 1,) + src[i + 1:]
-            if n == 1 and i == len(src) - 1:
+            n = e[i]
+            new = e[:i] + (n - 1,) + e[i + 1:]
+            if n == 1 and i == len(e) - 1:
                 new = _trim(new)
-            out[(e, new) if prime else (new, p)] = n * c
+            out[(new, p)] = n * c
         bound = None if self.bound is None else self.bound - k
         return TimesSeries._make(out, bound)
 
-    def mul_var(self, k: int, prime: bool = False) -> "TimesSeries":
-        """Multiply by t_k (or t'_k); knowledge shifts up by weight k."""
+    def mul_var(self, k: int) -> "TimesSeries":
+        """Multiply by t_k; knowledge shifts up by weight k."""
         unit = (0,) * (k - 1) + (1,)
         out: dict[Key, Fraction] = {}
         for (e, p), c in self.terms.items():
-            key = (e, _add_expo(p, unit)) if prime else (_add_expo(e, unit), p)
-            out[key] = c
+            out[(_add_expo(e, unit), p)] = c
         bound = None if self.bound is None else self.bound + k
         return TimesSeries._make(out, bound)
 

@@ -91,8 +91,13 @@ def _pfaffian(word, cutoff: int) -> Fraction:
     return total
 
 
-def _subset_words(pairs: list[Pair], degree: int):
-    """(coefficient, exponent, word) for every nonempty subset of pairs."""
+def _tau(pairs: Sequence, degree: int, cutoff: int, vev) -> TimesSeries:
+    """1 plus, over every nonempty subset of pairs, the product of its a_i,
+    exp of its evolution exponent and vev(word, cutoff) of its word."""
+    pairs = _check_pairs(pairs)
+    if cutoff < 1:
+        raise BadArgument("cutoff must be at least 1")
+    acc = TimesSeries.one(degree)
     m = len(pairs)
     for mask in range(1, 1 << m):
         subset = [pairs[i] for i in range(m) if mask >> i & 1]
@@ -103,7 +108,10 @@ def _subset_words(pairs: list[Pair], degree: int):
             word.extend([("+", p), ("-", q)])
             coef *= a
             expo = expo + _pair_exponent(p, q, degree)
-        yield coef, expo, word
+        c = vev(word, cutoff) * coef
+        if c:
+            acc = acc + expo.exp() * c
+    return acc
 
 
 def toda_tau(pairs: Sequence, degree: int, cutoff: int = 6) -> TimesSeries:
@@ -113,15 +121,7 @@ def toda_tau(pairs: Sequence, degree: int, cutoff: int = 6) -> TimesSeries:
     weighted by the pairing sum over the subset's interleaved word with
     K-truncated kernels and by exp of the subset's evolution exponent.
     """
-    pairs = _check_pairs(pairs)
-    if cutoff < 1:
-        raise BadArgument("cutoff must be at least 1")
-    acc = TimesSeries.one(degree)
-    for coef, expo, word in _subset_words(pairs, degree):
-        c = _pfaffian(word, cutoff) * coef
-        if c:
-            acc = acc + expo.exp() * c
-    return acc
+    return _tau(pairs, degree, cutoff, _pfaffian)
 
 
 # -- brute-force oracle ------------------------------------------------------
@@ -158,10 +158,4 @@ def word_vev_fock(word, cutoff: int) -> Fraction:
 
 def toda_tau_bruteforce(pairs: Sequence, degree: int, cutoff: int = 6) -> TimesSeries:
     """Same tau with every word expectation brute-forced in the Fock space."""
-    pairs = _check_pairs(pairs)
-    acc = TimesSeries.one(degree)
-    for coef, expo, word in _subset_words(pairs, degree):
-        c = word_vev_fock(word, cutoff) * coef
-        if c:
-            acc = acc + expo.exp() * c
-    return acc
+    return _tau(pairs, degree, cutoff, word_vev_fock)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from opertau import cli, jsonio
+from opertau import cli, hecke, jsonio, krichever
 from opertau.cli import run
 from opertau.grass import GrassPoint
 from opertau.krichever import main_theorem_check
@@ -39,6 +39,19 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert run(["miura", "/nonexistent/m.json"]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_input(self, tmp_path, capsys, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe d^2 \xe9")
+        assert run(["miura", str(path)]) == 2
+        assert run(["bc-curve", "--p", str(path), "--q", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("cannot read input: ") and str(path) in line for line in err)
 
     def test_frame_missing_key(self, tmp_path, capsys):
         path = write_json(tmp_path, "f.json", {"window": [-2, 2]})
@@ -277,7 +290,7 @@ class TestCommands:
         assert "PASS" in out and "FAIL" not in out
 
     def test_hecke_verify_plain_table(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "verify_relations", lambda win: [("braid", True), ("quadratic", False)])
+        monkeypatch.setattr(hecke, "verify_relations", lambda win: [("braid", True), ("quadratic", False)])
         assert run(["hecke-verify", "--n", "2", "--N", "2", "--zrange", "1"]) == 4
         assert capsys.readouterr().out.splitlines() == [
             "n: 2  N: 2  zrange: -1,1", "PASS  braid", "FAIL  quadratic", "all_hold: False",
@@ -338,7 +351,7 @@ class TestCommands:
             reports.append(main_theorem_check(*args))
             return reports[-1]
 
-        monkeypatch.setattr(cli, "main_theorem_check", check)
+        monkeypatch.setattr(krichever, "main_theorem_check", check)
         chi = tpoly({1: 1}, 20)
         mpath = write_json(tmp_path, "m.json", jsonio.miura_to_json(MiuraOper(2, (chi, -chi))))
         assert run(["--json", "--window=-6,6", "--degree", "6", "main-check", "--miura", mpath]) == 0

@@ -2,10 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from opertau.dmodule import AnnihilatorOp, annihilator_basis, same_annihilators
+from opertau.dmodule import AnnihilatorOp, _image, annihilator_basis, same_annihilators
 from opertau.times import TimesSeries
 
 F = Fraction
+
+
+def apply(op, tau):
+    """The operator ``op`` applied to ``tau`` through its verified degree."""
+    acc = TimesSeries.zero(op.verified_degree)
+    for (k, e), c in op.coeffs:
+        acc = acc + _image(tau, k, e).truncate(op.verified_degree) * c
+    return acc
 
 
 def exp_t1(c, bound):
@@ -39,7 +47,7 @@ class TestAnnihilators:
     def test_apply_is_zero_through_verified(self):
         tau = exp_t1(F(2), 9)
         for op in annihilator_basis(tau, max_order=2, max_degree=1):
-            assert op.apply(tau).is_zero
+            assert apply(op, tau).is_zero
 
     def test_basis_comparison(self):
         tau = exp_t1(F(2), 9)

@@ -10,8 +10,9 @@ from opertau.fock import (
     diagram,
     h_action,
     partitions,
-    window_basis,
 )
+
+from .conftest import window_basis
 
 H = Fraction(1, 2)
 

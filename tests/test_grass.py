@@ -16,7 +16,6 @@ from opertau.grass import (
     hirota_residual,
     plucker,
     random_perturbed_frame,
-    standard_point,
     tau_determinant,
     tau_schur,
 )
@@ -25,6 +24,8 @@ from opertau.oper import MiuraOper, miura_transform
 from opertau.schur import h_complete, mn_character, schur_polynomial
 from opertau.series import TruncSeries
 from opertau.times import TimesSeries, weight
+
+from .conftest import standard_point
 
 
 def jacobi_trudi(lam, degree=None):

@@ -15,7 +15,7 @@ from opertau.kdv import (
 from opertau.oper import MiuraOper, ScalarOper
 from opertau.series import TruncSeries, tpoly
 
-from .conftest import random_poly
+from .conftest import antiderivative, random_poly
 
 
 def oper_from_u(u, n=2):
@@ -102,7 +102,7 @@ class TestConservedDensity:
             root_tail = nth_root(Ld, 2).terms.get(-1)
             if root_tail is not None:
                 rho_dot = root_tail.du
-                rho_dot.antiderivative()  # raises NotIntegrable on failure
+                antiderivative(rho_dot)  # raises ValueError on failure
 
 
 class TestZS:

@@ -8,16 +8,42 @@ from opertau.oper import (
     MiuraOper,
     ScalarOper,
     bidiagonal_matrix,
-    companion_matrix,
     gauge_reduce,
     gauge_reduce_with_matrix,
     miura_transform,
-    validate_oper,
 )
 from opertau.psido import PsiDO, compose
 from opertau.series import TruncSeries, tpoly
 
 from .conftest import random_poly
+
+
+def companion_matrix(S):
+    """First row q_1..q_n, unit subdiagonal, zeros elsewhere."""
+    order = min(s.order for s in S.q)
+    zero = TruncSeries.zero(order)
+    one = TruncSeries.one(order)
+    rows = [list(S.q)]
+    for i in range(1, S.n):
+        rows.append([one if j == i - 1 else zero for j in range(S.n)])
+    return MatrixConnection(S.n, tuple(tuple(r) for r in rows))
+
+
+def validate_oper(C):
+    """Unit subdiagonal, zeros strictly below it, power-series entries."""
+    n = C.n
+    for i in range(n):
+        for j in range(n):
+            e = C.A[i][j]
+            if e.pole < 0 and not e.is_zero:
+                return False
+            if i == j + 1:
+                if e.pole != 0 or e.coeff(0) == 0:
+                    return False
+            elif i > j + 1:
+                if not e.is_zero:
+                    return False
+    return True
 
 
 def chi_series():

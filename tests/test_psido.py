@@ -21,7 +21,6 @@ from opertau.psido import (
     _derivative,
     commutator,
     compose,
-    invert_monic0,
     nth_root,
     power,
     residue,
@@ -29,7 +28,7 @@ from opertau.psido import (
 )
 from opertau.series import DualSeries, TruncSeries, tpoly
 
-from .conftest import random_poly
+from .conftest import invert_monic0, random_poly
 from .test_series import reference_mul
 
 

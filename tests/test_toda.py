@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from opertau.errors import SingularPair
-from opertau.fock import MayaState, clifford_apply, h_action, window_basis
+from opertau.errors import BadArgument, SingularPair
+from opertau.fock import MayaState, clifford_apply, h_action
 from opertau.grass import hirota_residual
 from opertau.times import TimesSeries
 from opertau.toda import (
@@ -13,6 +13,8 @@ from opertau.toda import (
     word_vev_fock,
     xi,
 )
+
+from .conftest import window_basis
 
 F = Fraction
 
@@ -88,6 +90,12 @@ class TestBruteForce:
         got = toda_tau_bruteforce(pairs, 2, cutoff=3)
         want = toda_tau(pairs, 2, cutoff=3)
         assert got == want
+
+    @pytest.mark.parametrize("route", [toda_tau, toda_tau_bruteforce])
+    @pytest.mark.parametrize("cutoff", [0, -3])
+    def test_both_routes_reject_a_cutoff_below_one(self, route, cutoff):
+        with pytest.raises(BadArgument):
+            route([(F(1), F(2), F(3))], 4, cutoff=cutoff)
 
 
 class TestReduction:

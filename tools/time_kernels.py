@@ -18,11 +18,14 @@ times `TimesSeries.exp` of one-pair Toda exponents at bound 12 (t and t'
 times), `invert` of Plücker-Schur taus at bound 8 and `hirota_residual`
 at degree 8 of the same taus at bound 12 (frames over (-8, 8) with dense
 random tails in two columns).  Coefficients are fractions with mixed small
-denominators.  `cold_import_ms` is the wall time of a fresh
-`python -c "import opertau.cli"` from a copy of the package without a
-bytecode cache, under `PYTHONDONTWRITEBYTECODE=1`, so that it compiles
-every package module it loads, as each run of the benchmark and each of its
-CLI samples does from a new checkout.
+denominators.  `cold_import_ms` is the wall time of a fresh interpreter
+that imports every module of the package, and `cold_hecke_cli_ms` that of a
+fresh `python -m opertau.cli --json hecke-verify --n 2 --N 3 --zrange 1`
+(the hecke workload's CLI sample), both from a copy of the package without
+a bytecode cache, under `PYTHONDONTWRITEBYTECODE=1`: the first compiles all
+of the package, as each run of the benchmark pays through `import
+workloads` from a new checkout, and the second only the modules that one
+command loads.
 Each sample times a fixed batch of calls; the script prints one JSON object
 with the median and every sample per kernel, in microseconds per series
 operation or milliseconds per call.  It uses only the public API, so it runs
@@ -154,8 +157,14 @@ def wedge(win: TensorWindow) -> list[dict]:
     return [red.reduce(basis_vector(key)) for key in win.basis()]
 
 
-def cold_import(env: dict) -> None:
-    subprocess.run([sys.executable, "-c", "import opertau.cli"], env=env, check=True)
+IMPORT_ALL = ("import importlib, pkgutil, opertau\n"
+              "for m in pkgutil.iter_modules(opertau.__path__):\n"
+              "    importlib.import_module('opertau.' + m.name)")
+HECKE_CLI = ["-m", "opertau.cli", "--json", "hecke-verify", "--n", "2", "--N", "3", "--zrange", "1"]
+
+
+def cold_run(env: dict, argv: list[str]) -> None:
+    subprocess.run([sys.executable, *argv], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def _sample(call, operands, scale: float) -> float:
@@ -190,13 +199,13 @@ def main(argv=None) -> int:
         "times_invert_ms": (TimesSeries.invert, tau8, 1e3),
         "hirota_residual_ms": (lambda tau: hirota_residual(tau, 8), tau12, 1e3),
     }
-    samples: dict[str, list[float]] = {name: [] for name in kernels}
     with tempfile.TemporaryDirectory() as fresh:
         shutil.copytree(SRC / "opertau", Path(fresh) / "opertau",
                         ignore=shutil.ignore_patterns("__pycache__"))
         env = {**os.environ, "PYTHONPATH": fresh, "PYTHONDONTWRITEBYTECODE": "1"}
-        kernels["cold_import_ms"] = (cold_import, [(env,)], 1e3)
-        samples["cold_import_ms"] = []
+        kernels["cold_import_ms"] = (cold_run, [(env, ["-c", IMPORT_ALL])], 1e3)
+        kernels["cold_hecke_cli_ms"] = (cold_run, [(env, HECKE_CLI)], 1e3)
+        samples: dict[str, list[float]] = {name: [] for name in kernels}
         for kernel in kernels.values():
             _sample(*kernel)  # warm-up
         for _ in range(args.repeats):
